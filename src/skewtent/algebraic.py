@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from typing import Mapping, Sequence
 
 from .symbolic import C, L, R, parse_word
-from .theta import Quadratic2D
+from .theta import Quadratic2D, sign_change_roots
 
 Monomial = tuple[int, int]  # (alpha exponent, beta exponent)
 
@@ -311,19 +311,6 @@ def _exact_roots_low_degree(coeffs: Sequence[Fraction]) -> list[Fraction] | None
     return None
 
 
-def _bisect_root(coeffs: Sequence[Fraction], lo: float, hi: float, iters: int = 80) -> float:
-    flo = _upoly_eval(coeffs, lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = _upoly_eval(coeffs, mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = fm
-    return 0.5 * (lo + hi)
-
-
 def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi, grid: int | None = None):
     """Real roots of a univariate polynomial inside the open interval
     (lo, hi): sign-change bisection on the squarefree part, exact values
@@ -337,14 +324,7 @@ def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi, grid: int | None = No
     lo_f, hi_f = float(lo), float(hi)
     eps = (hi_f - lo_f) * 1e-12
     xs = [lo_f + eps + (hi_f - lo_f - 2 * eps) * i / grid for i in range(grid + 1)]
-    vals = [_upoly_eval(sf, x) for x in xs]
-    roots: list[float] = []
-    for i in range(grid):
-        if vals[i] == 0:
-            roots.append(xs[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(_bisect_root(sf, xs[i], xs[i + 1]))
-    return roots
+    return sign_change_roots(lambda x: _upoly_eval(sf, x), xs)
 
 
 # -- diagonal analysis ---------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from . import algebraic, curves, symbolic, tentmap, theta
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _spec_from_args(args) -> theta.ThetaSpec:
@@ -56,13 +57,13 @@ def cmd_theta(args) -> None:
 
 def cmd_grad(args) -> None:
     spec = _spec_from_args(args)
-    da, db = theta.theta_grad(spec, args.alpha, args.beta, tol=args.tol)
+    da, db = theta.theta_grad(spec, args.alpha, args.beta)
     _emit({"alpha": args.alpha, "beta": args.beta, "d_alpha": da, "d_beta": db})
 
 
 def cmd_hessian(args) -> None:
     spec = _spec_from_args(args)
-    q = theta.theta_hessian(spec, args.alpha, args.beta, tol=args.tol)
+    q = theta.theta_hessian(spec, args.alpha, args.beta)
     _emit({"alpha": args.alpha, "beta": args.beta, "a": q.a, "b": q.b, "c": q.c})
 
 
@@ -113,10 +114,12 @@ def cmd_counterexample(args) -> None:
 
 def cmd_raster(args) -> None:
     window = tuple(float(t) for t in args.window.split(","))
-    if len(window) != 4:
-        raise ValueError("--window needs a0,a1,b0,b1")
-    w, _, h = args.size.partition("x")
-    width, height = int(w), int(h)
+    if len(window) != 4 or not all(map(math.isfinite, window)):
+        raise ValueError("--window needs four finite numbers a0,a1,b0,b1")
+    try:
+        width, height = (int(t) for t in args.size.split("x"))
+    except ValueError:
+        raise ValueError(f"--size needs WIDTHxHEIGHT, got {args.size!r}") from None
     if args.field == "kneading_class":
         field = curves.KneadingClassField(args.depth)
     else:
@@ -175,13 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("grad", help="first partials of Theta")
     add_spec(sp)
     add_point(sp)
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=cmd_grad)
 
     sp = sub.add_parser("hessian", help="second differential of Theta")
     add_spec(sp)
     add_point(sp)
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.set_defaults(func=cmd_hessian)
 
     sp = sub.add_parser("isentrope", help="trace an equi-kneading curve (CSV)")
@@ -223,12 +224,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_numbers(args) -> None:
+    """Every float flag must be finite and every integer flag (a depth, a
+    step or sample count) positive."""
+    for name, v in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite, got {v}")
+        if isinstance(v, int) and v < 1:
+            raise ValueError(f"{flag} must be positive, got {v}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_numbers(args)
         args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 1
     return 0

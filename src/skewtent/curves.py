@@ -23,7 +23,7 @@ from .symbolic import (
     compare_prefix,
 )
 from .tentmap import TentParams, kneading_prefix
-from .theta import ConvergenceError, ThetaSpec, theta_eval
+from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval
 
 NAN = float("nan")
 
@@ -168,35 +168,8 @@ def counterexample_scan(
     orbit scale for the equal-within-depth label.
     """
     target = spec.to_kneading()
-
-    def f(t: float) -> float:
-        try:
-            return theta_eval(spec, alpha0, t).value
-        except ConvergenceError:
-            return NAN
-
     ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
-    vals = [f(t) for t in ts]
-    roots: list[float] = []
-    for i in range(samples):
-        v0, v1 = vals[i], vals[i + 1]
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        if v0 == 0.0:
-            roots.append(ts[i])
-            continue
-        if v0 * v1 < 0:
-            lo, hi = ts[i], ts[i + 1]
-            flo = v0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-                    flo = fm
-            roots.append(0.5 * (lo + hi))
+    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts)
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 

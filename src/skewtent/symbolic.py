@@ -52,12 +52,18 @@ def _check_word(word: Sequence[str], what: str) -> tuple[str, ...]:
     return word
 
 
-def _primitive(period: tuple[str, ...]) -> tuple[str, ...]:
+def _canonical(pre: tuple, period: tuple) -> tuple[tuple, tuple]:
+    """Primitive period and shortest preperiod of pre followed by period
+    repeated forever."""
     n = len(period)
     for d in range(1, n):
         if n % d == 0 and period == period[: d] * (n // d):
-            return period[: d]
-    return period
+            period = period[: d]
+            break
+    while pre and pre[-1] == period[-1]:
+        pre = pre[:-1]
+        period = period[-1:] + period[:-1]
+    return pre, period
 
 
 @dataclass(frozen=True)
@@ -80,14 +86,7 @@ class KneadingSeq:
             period = _check_word(period, "period")
             if not period:
                 raise ValueError("period must be nonempty")
-            period = _primitive(period)
-            pre_l = list(pre)
-            per_l = list(period)
-            while pre_l and pre_l[-1] == per_l[-1]:
-                pre_l.pop()
-                per_l = [per_l[-1]] + per_l[:-1]
-            pre = tuple(pre_l)
-            period = tuple(per_l)
+            pre, period = _canonical(pre, period)
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "period", period)
 
@@ -167,23 +166,24 @@ def parse_word(text: str) -> tuple[str, ...]:
 # -- ordering ------------------------------------------------------------
 
 
-def _walk_compare(a_sym, b_sym, bound: int) -> int:
-    """Parity-lexicographic comparison over symbol callbacks."""
-    r_count = 0
-    for i in range(bound):
+def _parity_order(a_sym, b_sym, n: int) -> int:
+    """Parity-lexicographic order of two symbol callbacks over indices < n.
+
+    At the first differing index the symbol order L < C < R applies,
+    reversed when the common prefix holds an odd number of R's.  Agreement
+    through a common C, or through all n indices, gives EQUAL.
+    """
+    odd = False
+    for i in range(n):
         x = a_sym(i)
         y = b_sym(i)
-        if x is None and y is None:
-            return EQUAL
-        if x is None or y is None:
-            raise AssertionError("admissible sequences cannot end unequally")
         if x != y:
             d = LESS if _SYMBOL_RANK[x] < _SYMBOL_RANK[y] else GREATER
-            return d if r_count % 2 == 0 else -d
-        if x == R:
-            r_count += 1
+            return -d if odd else d
         if x == C:
             return EQUAL
+        if x == R:
+            odd = not odd
     return EQUAL
 
 
@@ -206,7 +206,7 @@ def compare(a: KneadingSeq, b: KneadingSeq) -> int:
             + max(len(a.period), len(b.period))
             + 1
         )
-    return _walk_compare(a.symbol_at, b.symbol_at, bound)
+    return _parity_order(a.symbol_at, b.symbol_at, bound)
 
 
 def compare_prefix(symbols: Sequence[str], target: KneadingSeq) -> int:
@@ -216,25 +216,7 @@ def compare_prefix(symbols: Sequence[str], target: KneadingSeq) -> int:
     caller must interpret as equal-within-depth.
     """
     syms = list(symbols)
-
-    def a_sym(i):
-        return syms[i] if i < len(syms) else None
-
-    r_count = 0
-    for i in range(len(syms)):
-        x = syms[i]
-        y = target.symbol_at(i)
-        if y is None:
-            # target ended with C strictly earlier; mismatch was already seen
-            return EQUAL
-        if x != y:
-            d = LESS if _SYMBOL_RANK[x] < _SYMBOL_RANK[y] else GREATER
-            return d if r_count % 2 == 0 else -d
-        if x == R:
-            r_count += 1
-        if x == C:
-            return EQUAL
-    return EQUAL
+    return _parity_order(syms.__getitem__, target.symbol_at, len(syms))
 
 
 # -- shift and maximality --------------------------------------------------
@@ -358,19 +340,9 @@ class GapSeq:
             raise ValueError("first gap must be positive")
         if any(g > m1 for g in head + period):
             raise ValueError("gaps may not exceed the first gap")
-        # canonicalize like a symbol sequence
-        n = len(period)
-        for d in range(1, n):
-            if n % d == 0 and period == period[: d] * (n // d):
-                period = period[: d]
-                break
-        head_l = list(head)
-        per_l = list(period)
-        while head_l and head_l[-1] == per_l[-1]:
-            head_l.pop()
-            per_l = [per_l[-1]] + per_l[:-1]
-        object.__setattr__(self, "head", tuple(head_l))
-        object.__setattr__(self, "period", tuple(per_l))
+        head, period = _canonical(head, period)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "period", period)
 
     @property
     def all_zero_tail(self) -> bool:
@@ -511,21 +483,8 @@ def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
     if not is_maximal(m):
         return NO
 
-    limit = doubling_limit_prefix(horizon)
-    cond2 = None
-    r_count = 0
-    for i in range(horizon):
-        x = m.symbol_at(i)
-        y = limit[i]
-        if x is None:
-            break
-        if x != y:
-            d = LESS if _SYMBOL_RANK[x] < _SYMBOL_RANK[y] else GREATER
-            cond2 = d if r_count % 2 == 0 else -d
-            break
-        if x == R:
-            r_count += 1
-    if cond2 is not None and cond2 <= 0:
+    cond2 = _parity_order(m.symbol_at, doubling_limit_prefix(horizon).__getitem__, horizon)
+    if cond2 == LESS:
         return NO
 
     # factor search bound; the search is complete when every possible
@@ -562,6 +521,6 @@ def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
             if tuple(m.prefix(a)) not in doubling_words:
                 return NO
 
-    if cond2 is None or not complete:
+    if cond2 == EQUAL or not complete:
         return UNKNOWN
     return YES

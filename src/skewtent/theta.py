@@ -3,10 +3,14 @@ with x = (alpha-1)/beta and y = alpha/beta, built from the gap structure of
 a kneading sequence.  It vanishes on the equi-kneading curve of its sequence
 (and possibly elsewhere, which is the interesting part).
 
-Evaluation, first and second partial derivatives all share one engine: the
-head of the series is summed termwise and the eventually periodic tail is
-summed in closed form, so no truncation error is incurred.  Every formula is
-arithmetic-generic and yields exact values on Fraction inputs.
+Value, gradient and Hessian share one engine.  The sum S is a Horner fold
+acc -> x y^{m_k} (1 + acc) over the gaps, last to first, started from the
+periodic tail T.  The tail solves the fixed point T = a + rho T, where a is
+one fold over the period and rho = x^r y^s, so T = a / (1 - rho) and no
+truncation error is incurred.  The fold carries S together with its Euler
+moments x dS/dx, y dS/dy and the second-order ones, as far as the caller
+needs; the partial derivatives follow from them by the chain rule.  Every
+formula is arithmetic-generic and yields exact values on Fraction inputs.
 """
 
 from __future__ import annotations
@@ -94,121 +98,100 @@ class Quadratic2D:
     b: float
     c: float
 
-    def slope_roots(self) -> tuple[float, float]:
-        """Roots of a + 2 b z + c z^2 = 0 (z = y/x directions)."""
-        a, b, c = self.a, self.b, self.c
-        if c == 0:
-            raise ValueError("degenerate quadratic, leading coefficient zero")
-        disc = b * b - a * c
-        if disc < 0:
-            raise ValueError("no real slope directions")
-        r = disc ** 0.5
-        # stable: avoid cancellation in the smaller root
-        if b >= 0:
-            z1 = (-b - r) / c
-        else:
-            z1 = (-b + r) / c
-        z2 = a / (c * z1) if z1 != 0 else (-2 * b) / c
-        return (z1, z2)
+
+# One Horner step acc -> u (1 + acc) with u = x y^g, on S and its Euler
+# moments: x d/dx u = u and y d/dy u = g u, so with P = 1 + S
+#   (x d/dx) u P = u (P + S_k),  (y d/dy) u P = u (g P + S_m),
+# and the second-order moments follow by applying the same rules again.
+# A zero gap drops every g-term, which matters on Fraction inputs.
 
 
-def convergence_ratio(spec: ThetaSpec, alpha, beta):
-    """Dominating term ratio |x| max(1, y)^{m1}; series evaluation is
-    refused at 0.999 and above."""
-    x = (alpha - 1) / beta
-    y = alpha / beta
-    eta = abs(x)
-    if y > 1:
-        eta = eta * y ** spec.m1
-    return eta
+def _step0(u, g, acc):
+    return (u * (1 + acc[0]),)
 
 
-def _poly_value(key: str, k: int, m: int):
-    if key == "1":
-        return 1
-    if key == "k":
-        return k
-    if key == "m":
-        return m
-    if key == "kk":
-        return k * k
-    if key == "km":
-        return k * m
-    return m * m
+def _step1(u, g, acc):
+    s, k, m = acc
+    p = 1 + s
+    return (u * p, u * (p + k), u * (g * p + m) if g else u * m)
 
 
-def _poly_in_j(key: str, k0, kj, m0, mj):
-    """Coefficients (c0, c1, c2) in j of the basis monomial along
-    k = k0 + kj*j, m = m0 + mj*j."""
-    if key == "1":
-        return (1, 0, 0)
-    if key == "k":
-        return (k0, kj, 0)
-    if key == "m":
-        return (m0, mj, 0)
-    if key == "kk":
-        return (k0 * k0, 2 * k0 * kj, kj * kj)
-    if key == "km":
-        return (k0 * m0, k0 * mj + kj * m0, kj * mj)
-    return (m0 * m0, 2 * m0 * mj, mj * mj)
+def _step2(u, g, acc):
+    s, k, m, kk, km, mm = acc
+    p = 1 + s
+    q = p + k
+    if not g:
+        return (u * p, u * q, u * m, u * (q + k + kk), u * (m + km), u * mm)
+    w = g * p + m
+    return (u * p, u * q, u * w, u * (q + k + kk), u * (g * q + m + km), u * (g * (w + m) + mm))
 
 
-def _series_sums(spec: ThetaSpec, alpha, beta, keys, min_head: int = 0):
-    """S[p] = sum_{k>=1} p(k, mbar_k) x^k y^{mbar_k} for basis monomials p.
+# each step with the moments of an empty sum
+_STEPS = ((_step0, (0,)), (_step1, (0,) * 3), (_step2, (0,) * 6))
 
-    Head terms are accumulated directly; the periodic tail contributes
-    geometric sums sum_j j^i rho^j in closed form.  Returns (sums, absacc,
-    terms): absacc tracks accumulated magnitudes for the roundoff bound.
+
+def _fold(step, us, gaps, acc):
+    """Apply the Horner step for each gap, last to first."""
+    for g in reversed(gaps):
+        acc = step(us[g], g, acc)
+    return acc
+
+
+def _fixed_point_tail(a, rho, c, r: int, s: int):
+    """Moments of the periodic tail T = a + rho T, that is T = c a with
+    c = 1 / (1 - rho), given the moments a of one period.  They follow by
+    applying the Euler operators to the identity, with x d/dx rho = r rho
+    and y d/dy rho = s rho for rho = x^r y^s."""
+    t = c * a[0]
+    if len(a) == 1:
+        return (t,)
+    rt, st = r * rho, s * rho
+    tk = c * (a[1] + rt * t)
+    tm = c * (a[2] + st * t)
+    if len(a) == 3:
+        return (t, tk, tm)
+    return (t, tk, tm,
+            c * (a[3] + r * rt * t + 2 * rt * tk),
+            c * (a[4] + r * st * t + rt * tm + st * tk),
+            c * (a[5] + s * st * t + 2 * st * tm))
+
+
+def _series(spec: ThetaSpec, alpha, beta, order: int, min_head: int = 0):
+    """S = sum_{k>=1} x^k y^{mbar_k} and its Euler moments up to ``order``.
+
+    Returns (x, y, moments, absacc, terms).  The moments are S, then
+    S_k = x dS/dx and S_m = y dS/dy, then S_kk, S_km and S_mm: the series
+    with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2.
+    ``absacc`` is the magnitude sum behind the roundoff bound, the head
+    terms plus the first period of the tail weighted by 3 |1/(1 - rho)|.
+    ``min_head`` unrolls that many period copies into the head.
     """
     g = spec.gaps
-    eta = convergence_ratio(spec, alpha, beta)
+    x = (alpha - 1) / beta
+    y = alpha / beta
+    # dominating term ratio |x| max(1, y)^{m1}
+    eta = abs(x) * y ** g.m1 if y > 1 else abs(x)
     if eta >= 0.999:
         raise ConvergenceError(
             f"series ratio {float(eta):.6f} >= 0.999 at alpha={float(alpha)}, beta={float(beta)}"
         )
-    x = (alpha - 1) / beta
-    y = alpha / beta
-
-    h = len(g.head)
-    extra = max(0, min_head)
+    head = g.head + g.period * max(0, min_head)
     r = len(g.period)
     s = sum(g.period)
-
-    out = {key: 0 for key in keys}
-    absacc = 0.0
-    xk = 1
-    ym = 1
-    mb = 0
-    for k in range(1, h + extra * r + 1):
-        xk = xk * x
-        gap = g.gap(k)
-        mb += gap
-        ym = ym * y ** gap
-        t = xk * ym
-        absacc += abs(float(t))
-        for key in keys:
-            out[key] += t * _poly_value(key, k, mb)
-
-    h_eff = h + extra * r
-    M = g.cum(h_eff)
     rho = x ** r * y ** s
     if abs(rho) >= 1:
         raise ConvergenceError("periodic tail ratio has modulus >= 1")
-    one = 1 - rho
-    s0 = 1 / one
-    s1 = rho / one ** 2
-    s2 = rho * (1 + rho) / one ** 3
+    c = 1 / (1 - rho)
 
-    ti = 0
-    for i in range(1, r + 1):
-        ti += g.gap(h_eff + i)
-        amp = x ** (h_eff + i) * y ** (M + ti)
-        k0, m0 = h_eff + i, M + ti
-        absacc += abs(float(amp)) * abs(float(s0)) * 3
-        for key in keys:
-            c0, c1, c2 = _poly_in_j(key, k0, r, m0, s)
-            out[key] += amp * (c0 * s0 + c1 * s1 + c2 * s2)
-    return out, absacc, h_eff + r
+    us = {gap: x * y ** gap for gap in set(head + g.period)}
+    step, zero = _STEPS[order]
+    period = _fold(step, us, g.period, zero)
+    moments = _fold(step, us, head, _fixed_point_tail(period, rho, c, r, s))
+
+    mags = {gap: abs(float(u)) for gap, u in us.items()}
+    tail_mag = 3 * abs(float(c)) * _fold(_step0, mags, g.period, (0.0,))[0]
+    absacc = _fold(_step0, mags, head, (tail_mag,))[0]
+    return x, y, moments, absacc, len(head) + r
 
 
 def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12, min_head: int = 0) -> ThetaValue:
@@ -219,8 +202,8 @@ def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12, min_head: int =
     ``min_head`` unrolls extra period copies into the head (used to verify
     the bound, the value must not move).
     """
-    sums, absacc, terms = _series_sums(spec, alpha, beta, ("1",), min_head)
-    value = 1 - beta + sums["1"]
+    _, _, (sum0,), absacc, terms = _series(spec, alpha, beta, 0, min_head)
+    value = 1 - beta + sum0
     bound = 8e-16 * (absacc + 1.0)
     if bound > tol:
         raise ConvergenceError(f"roundoff bound {bound:.2e} exceeds requested tol {tol:.2e}")
@@ -248,28 +231,22 @@ def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
     return part, pk
 
 
-def theta_grad(spec: ThetaSpec, alpha, beta, tol: float = 1e-12):
-    """First partials (d_alpha, d_beta) by termwise differentiation."""
-    x = (alpha - 1) / beta
-    y = alpha / beta
-    sums, _, _ = _series_sums(spec, alpha, beta, ("k", "m"))
-    d_alpha = (sums["k"] / x + sums["m"] / y) / beta
-    d_beta = -1 - (sums["k"] + sums["m"]) / beta
+def theta_grad(spec: ThetaSpec, alpha, beta):
+    """First partials (d_alpha, d_beta) from the first Euler moments."""
+    x, y, (_, k, m), _, _ = _series(spec, alpha, beta, 1)
+    d_alpha = (k / x + m / y) / beta
+    d_beta = -1 - (k + m) / beta
     return d_alpha, d_beta
 
 
-def theta_hessian(spec: ThetaSpec, alpha, beta, tol: float = 1e-12) -> Quadratic2D:
+def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
     """Second differential as a quadratic form; the mixed partial is
     computed once, so symmetry holds by construction."""
-    x = (alpha - 1) / beta
-    y = alpha / beta
-    sums, _, _ = _series_sums(spec, alpha, beta, ("k", "m", "kk", "km", "mm"))
+    x, y, (_, k, m, kk, km, mm), _, _ = _series(spec, alpha, beta, 2)
     b2 = beta * beta
-    daa = ((sums["kk"] - sums["k"]) / (x * x)
-           + 2 * sums["km"] / (x * y)
-           + (sums["mm"] - sums["m"]) / (y * y)) / b2
-    dab = -((sums["kk"] + sums["km"]) / x + (sums["km"] + sums["mm"]) / y) / b2
-    dbb = (sums["kk"] + 2 * sums["km"] + sums["mm"] + sums["k"] + sums["m"]) / b2
+    daa = ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2
+    dab = -((kk + km) / x + (km + mm) / y) / b2
+    dbb = (kk + 2 * km + mm + k + m) / b2
     return Quadratic2D(daa, dab, dbb)
 
 
@@ -288,6 +265,32 @@ def m1_first_return(alpha, beta, cap: int = 100_000) -> int:
     return m
 
 
+def sign_change_roots(f, xs) -> list:
+    """Roots of f located by sign changes between consecutive nodes xs.
+
+    A node where f is exactly 0 is returned as is; pairs with a NaN end
+    are skipped.  A sign change is bisected until its bracket ends are
+    adjacent floats, and the rounded midpoint, one of the two, is returned.
+    """
+    vals = [f(x) for x in xs]
+    roots = []
+    for i, (lo, f_lo) in enumerate(zip(xs, vals)):
+        if f_lo == 0:
+            roots.append(lo)
+        elif i + 1 < len(xs) and f_lo * vals[i + 1] < 0:
+            hi = xs[i + 1]
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                f_mid = f(mid)
+                if f_lo * f_mid <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+                mid = 0.5 * (lo + hi)
+            roots.append(mid)
+    return roots
+
+
 def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9985,
                              grid: int = 1024) -> float:
     """The diagonal point (b, b) where the gradient of the series vanishes.
@@ -298,27 +301,8 @@ def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9
     for the spec's own m1 is returned.
     """
     m1 = spec.m1
-
-    def g(b: float) -> float:
-        return theta_grad(spec, b, b)[0]
-
-    roots = []
-    prev_b, prev_v = lo, g(lo)
-    for i in range(1, grid + 1):
-        b = lo + (hi - lo) * i / grid
-        v = g(b)
-        if prev_v == 0:
-            roots.append(prev_b)
-        elif prev_v * v < 0:
-            a1, a2 = prev_b, b
-            for _ in range(100):
-                mid = 0.5 * (a1 + a2)
-                if g(a1) * g(mid) <= 0:
-                    a2 = mid
-                else:
-                    a1 = mid
-            roots.append(0.5 * (a1 + a2))
-        prev_b, prev_v = b, v
+    xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+    roots = sign_change_roots(lambda b: theta_grad(spec, b, b)[0], xs)
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)
     blo = (m1 - 1) / m1 if m1 > 1 else 0.0
     bhi = (m1 + 2) / (m1 + 3)
@@ -328,3 +312,4 @@ def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9
     if len(picks) > 1:
         raise ValueError(f"ambiguous diagonal stationary points {picks}")
     return picks[0]
+

@@ -163,6 +163,26 @@ def test_error_is_machine_readable():
     assert "error" in doc and "kind" in doc
 
 
+@pytest.mark.parametrize("args, says", [
+    (["theta", "--seq", "RLC", "--alpha", "nan", "--beta", "0.7"], "--alpha must be finite"),
+    (["grad", "--seq", "RLC", "--alpha", "nan", "--beta", "0.7"], "--alpha must be finite"),
+    (["theta", "--seq", "RLC", "--alpha", "0.6", "--beta", "0"], "division by zero"),
+    (["knead", "--alpha", "0.6", "--beta", "0.8", "--depth", "-3"], "--depth must be positive"),
+    (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "0"],
+     "--steps must be positive"),
+    (["raster", "--field", "theta_sign", "--preset", "thex", "--window", "0.3,0.9,0.55,0.99",
+      "--size", "3x", "--out", "unused"], "--size needs WIDTHxHEIGHT"),
+])
+def test_bad_input_is_one_json_error_line(args, says):
+    rc, out, err = run_cli(args)
+    assert rc == 1
+    assert out == ""
+    line, = err.splitlines()
+    doc = json.loads(line)
+    assert set(doc) == {"error", "kind"}
+    assert says in doc["error"]
+
+
 def test_missing_spec_is_an_error():
     rc, _, err = run_cli(["theta", "--alpha", "0.6", "--beta", "0.8"])
     assert rc == 1

@@ -1,14 +1,18 @@
 """The Theta series: values, closed-form tails, derivatives, partial sums,
 the orbit recursion and the first-return estimate."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewtent import (
     ConvergenceError,
+    GapSeq,
     TentParams,
     ThetaSpec,
     diagonal_stationary_beta,
@@ -22,6 +26,7 @@ from skewtent import (
     theta_partial_sum,
     thex_spec,
 )
+from skewtent.theta import sign_change_roots
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
 RLLRC = ThetaSpec.from_seq(parse_seq("RLLRC"))
@@ -196,7 +201,63 @@ def test_hessian_near_one_approaches_symmetric_saddle():
     assert prev < 0.1
 
 
+# exact values at two dyadic points: (value, d_alpha, d_beta, a, b, c) as
+# Fraction strings, and for thex the SHA-256 of those six strings joined by
+# single spaces (the numbers run to hundreds of digits)
+EXACT_POINTS = [(Fraction(5, 8), Fraction(3, 4)), (Fraction(9, 16), Fraction(13, 16))]
+EXACT_PINS = {
+    "RLC": [
+        ("-1/76", "-176/1083", "-403/1083", "262912/61731", "58816/61731", "-19200/6859"),
+        ("-195/7024", "-60450/192721", "-111703/192721", "261134224/84604519",
+         "122307344/84604519", "-121513392/84604519"),
+    ],
+    "RLLRC": [
+        ("39/2956", "-155840/546121", "-129321/546121", "2555402752/1210750257",
+         "1910520320/1210750257", "-4233603200/1210750257"),
+        ("11271/1342288", "-2083450590/7038035449", "-3402171763/7038035449",
+         "648010812059728/590441907922957", "687838968118224/590441907922957",
+         "-1119724513239024/590441907922957"),
+    ],
+    "thex": [
+        "9617111a2d96091b473294503681a7639a47ae89bb88863ebdbec2a731f4077e",
+        "135d30926781da3abeaaeb5ea6cca742d222ddd6f5114484dc3557c62dcb8a6f",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, spec", [("RLC", RLC), ("RLLRC", RLLRC), ("thex", THEX)])
+def test_exact_values_pinned(name, spec):
+    for (a, b), pin in zip(EXACT_POINTS, EXACT_PINS[name]):
+        q = theta_hessian(spec, a, b)
+        vals = (theta_eval(spec, a, b).value, *theta_grad(spec, a, b), q.a, q.b, q.c)
+        assert all(isinstance(v, Fraction) for v in vals)
+        got = tuple(str(v) for v in vals)
+        if name == "thex":
+            got = hashlib.sha256(" ".join(got).encode()).hexdigest()
+        assert got == pin
+
+
 # ------------------------------------------------------------ evaluation guards
+
+
+@st.composite
+def gap_specs(draw):
+    m1 = draw(st.integers(1, 6))
+    rest = st.lists(st.integers(0, m1), max_size=6)
+    period = draw(st.lists(st.integers(0, m1), min_size=1, max_size=3))
+    return ThetaSpec(GapSeq((m1, *draw(rest)), tuple(period)))
+
+
+@given(gap_specs(), st.floats(0.5, 1.0, exclude_min=True), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_error_bound_holds_against_exact_value(spec, b, t):
+    a = (1 - b) + t * (2 * b - 1)  # a point of U, the lower edge included
+    try:
+        tv = theta_eval(spec, a, b)
+    except ConvergenceError:
+        assume(False)
+    exact = theta_eval(spec, Fraction(a), Fraction(b)).value
+    assert abs(Fraction(tv.value) - exact) <= Fraction(tv.error_bound)
 
 
 def test_error_bound_soundness():
@@ -300,3 +361,28 @@ def test_diagonal_stationary_betas():
     assert diagonal_stationary_beta(RLC) == pytest.approx(2 / 3, abs=1e-10)
     assert diagonal_stationary_beta(RLLRC) == pytest.approx(0.5 + math.sqrt(5) / 10, abs=1e-10)
     assert diagonal_stationary_beta(THEX) == pytest.approx(6 / 7, abs=1e-10)
+
+
+# ------------------------------------------------------------ sign-change roots
+
+
+def test_sign_change_roots_bracket_adjacent_floats():
+    f = lambda t: (t - 1 / 3) * (t - 0.71) * (t + 0.2)
+    roots = sign_change_roots(f, [i / 7 for i in range(8)])
+    assert roots == pytest.approx([1 / 3, 0.71], abs=1e-15)
+    for r in roots:
+        neighbours = (math.nextafter(r, -math.inf), math.nextafter(r, math.inf))
+        assert f(r) == 0 or any(f(n) * f(r) <= 0 for n in neighbours)
+
+
+def test_sign_change_roots_skip_nan_pairs():
+    f = lambda t: math.nan if 0.55 < t < 0.65 else t - 0.6
+    assert sign_change_roots(f, [0.5, 0.6, 0.7]) == []
+    assert sign_change_roots(lambda t: t - 0.62, [0.5, 0.6, 0.7]) == [pytest.approx(0.62, abs=1e-15)]
+
+
+def test_sign_change_roots_return_zero_nodes():
+    xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert sign_change_roots(lambda t: t - 0.5, xs) == [0.5]
+    assert sign_change_roots(lambda t: t - 1.0, xs) == [1.0]
+    assert sign_change_roots(lambda t: (t - 0.25) * (t - 0.75), xs) == [0.25, 0.75]
