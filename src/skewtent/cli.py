@@ -33,6 +33,13 @@ def _spec_from_args(args) -> theta.ThetaSpec:
     raise ValueError("provide --seq, --gaps or a preset")
 
 
+def _kneading_word(text: str) -> symbolic.KneadingSeq:
+    m = symbolic.parse_seq(text)
+    if not symbolic.is_maximal(m):
+        raise ValueError(f"{text} is not maximal, so it is not a kneading sequence")
+    return m
+
+
 def _maybe_exact(x):
     return str(x) if isinstance(x, Fraction) else None
 
@@ -68,7 +75,7 @@ def cmd_hessian(args) -> None:
 
 
 def cmd_isentrope(args) -> None:
-    m = symbolic.parse_seq(args.seq)
+    m = _kneading_word(args.seq)
     n = args.steps
     alphas = [args.alpha_from + (args.alpha_to - args.alpha_from) * i / (n - 1) for i in range(n)] \
         if n > 1 else [args.alpha_from]
@@ -82,6 +89,7 @@ def cmd_isentrope(args) -> None:
 
 
 def cmd_diagonal(args) -> None:
+    _kneading_word(args.seq)
     poly = algebraic.compose_branch_condition(args.seq)
     roots = algebraic.diagonal_critical_points(poly)
     cands = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .symbolic import (
@@ -224,13 +224,19 @@ class RasterGrid:
         b = b1 - (b1 - b0) * row / (self.height - 1)
         return a, b
 
+    def axes(self) -> tuple[list[float], list[float]]:
+        """Node alphas by column and node betas by row."""
+        return ([self.node(col, 0)[0] for col in range(self.width)],
+                [self.node(0, row)[1] for row in range(self.height)])
+
 
 def raster(field, window, width: int, height: int) -> RasterGrid:
     """Evaluate a field on an inclusive grid over window = (a0, a1, b0, b1).
 
     Theta fields emit NaN where the convergence guard refuses evaluation;
     the kneading-class field emits -1 outside U and otherwise an integer id
-    assigned per distinct prefix in scan order.
+    assigned per distinct prefix in scan order.  The field's pixel loop is
+    chosen once per raster.
     """
     a0, a1, b0, b1 = window
     if width < 2 or height < 2:
@@ -238,33 +244,32 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     if a1 <= a0 or b1 <= b0:
         raise ValueError("zero-area window")
 
-    class_ids: dict[str, int] = {}
+    shape = RasterGrid((a0, a1), (b0, b1), width, height, (), "")
+    alphas, betas = shape.axes()
     values: list[float] = []
-    for row in range(height):
-        b = b1 - (b1 - b0) * row / (height - 1)
-        for col in range(width):
-            a = a0 + (a1 - a0) * col / (width - 1)
-            if isinstance(field, (ThetaValueField, ThetaSignField)):
+    if isinstance(field, (ThetaValueField, ThetaSignField)):
+        spec, sign = field.spec, isinstance(field, ThetaSignField)
+        for b in betas:
+            for a in alphas:
                 try:
-                    v = theta_eval(field.spec, a, b).value
+                    v = theta_eval(spec, a, b).value
                 except (ConvergenceError, ZeroDivisionError):
                     values.append(NAN)
                     continue
-                if isinstance(field, ThetaSignField):
-                    v = 0.0 if v == 0 else math.copysign(1.0, v)
-                values.append(v)
-            elif isinstance(field, KneadingClassField):
+                values.append((0.0 if v == 0 else math.copysign(1.0, v)) if sign else v)
+    elif isinstance(field, KneadingClassField):
+        class_ids: dict[str, int] = {}
+        for b in betas:
+            for a in alphas:
                 p = TentParams(a, b) if 0 < a < 1 and 0 < b <= 1 else None
                 if p is None or not p.in_u:
                     values.append(-1.0)
                     continue
                 key = "".join(kneading_prefix(p, field.depth))
-                if key not in class_ids:
-                    class_ids[key] = len(class_ids)
-                values.append(float(class_ids[key]))
-            else:
-                raise TypeError(f"unknown raster field {field!r}")
-    return RasterGrid((a0, a1), (b0, b1), width, height, tuple(values), field.describe())
+                values.append(float(class_ids.setdefault(key, len(class_ids))))
+    else:
+        raise TypeError(f"unknown raster field {field!r}")
+    return replace(shape, values=tuple(values), field=field.describe())
 
 
 SENTINEL_GRAY = 255
@@ -306,11 +311,13 @@ def write_pgm(grid: RasterGrid, path: str | Path) -> dict:
 def write_csv(grid: RasterGrid, path: str | Path) -> None:
     """``alpha,beta,value`` rows in raster order, round-trip float format."""
     path = Path(path)
+    alphas, betas = grid.axes()
+    alpha_texts = [repr(a) for a in alphas]  # each column's text, made once
     lines = ["alpha,beta,value"]
-    for row in range(grid.height):
-        for col in range(grid.width):
-            a, b = grid.node(col, row)
-            lines.append(f"{a!r},{b!r},{grid.values[row * grid.width + col]!r}")
+    for row, b in enumerate(betas):
+        beta_text = f",{b!r},"
+        values = grid.values[row * grid.width:(row + 1) * grid.width]
+        lines.extend(f"{a}{beta_text}{v!r}" for a, v in zip(alpha_texts, values))
     path.write_text("\n".join(lines) + "\n")
 
 

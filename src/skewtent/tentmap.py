@@ -91,16 +91,16 @@ def extended_itinerary(p: TentParams, x, n: int, eps_c=0) -> list[str]:
 def kneading_prefix(p: TentParams, n: int, eps_c=0) -> list[str]:
     """Itinerary of the critical value beta, cut after the first C."""
     syms: list[str] = []
-    x = p.beta
+    alpha, x = p.alpha, p.beta
+    lam, mu = x / alpha, x / (1 - alpha)  # the slopes of tent_eval, inlined below
     for _ in range(n):
-        if abs(x - p.alpha) <= eps_c:
+        if abs(x - alpha) <= eps_c:
             syms.append(C)
             break
-        if x < p.alpha:
-            syms.append(L)
-        else:
-            syms.append(R)
-        x = tent_eval(p, x)
+        syms.append(L if x < alpha else R)
+        if x < 0 or x > 1:
+            raise ValueError(f"x={x} outside [0,1]")
+        x = lam * x if x <= alpha else mu * (1 - x)
     return syms
 
 

@@ -7,15 +7,16 @@ Value, gradient and Hessian share one engine.  The sum S is a Horner fold
 acc -> x y^{m_k} (1 + acc) over the gaps, last to first, started from the
 periodic tail T.  The tail solves the fixed point T = a + rho T, where a is
 one fold over the period and rho = x^r y^s, so T = a / (1 - rho) and no
-truncation error is incurred.  The fold carries S together with its Euler
-moments x dS/dx, y dS/dy and the second-order ones, as far as the caller
-needs; the partial derivatives follow from them by the chain rule.  Every
-formula is arithmetic-generic and yields exact values on Fraction inputs.
+truncation error is incurred.  The value fold carries its roundoff sum
+alongside; derivatives fold S together with its Euler moments x dS/dx,
+y dS/dy and the second-order ones and follow from them by the chain rule.
+Every formula is arithmetic-generic and exact on Fraction inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .symbolic import C, GapSeq, KneadingSeq, R, gap_decomposition, minus_variant
 
@@ -50,7 +51,9 @@ class ThetaSpec:
     def from_kneading_prefix(cls, symbols) -> "ThetaSpec":
         """Truncation of an orbit itinerary: complete L-runs become gaps,
         the unfinished trailing run is dropped and the tail is taken as
-        R^inf.  The induced error is covered by the slope-product bound."""
+        R^inf.  The spec is exact data for that truncated sequence only:
+        the ``error_bound`` of ``theta_eval`` covers roundoff in summing it,
+        not the truncation, which can be far larger."""
         syms = list(symbols)
         if not syms or syms[0] != R:
             raise ValueError("kneading prefix must start with R")
@@ -71,6 +74,13 @@ class ThetaSpec:
     @property
     def m1(self) -> int:
         return self.gaps.m1
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """Head and period gaps in fold order (last first), the distinct gaps
+        ascending, and the period's length r and gap sum s (rho = x^r y^s):
+        what every evaluation folds over, computed once per spec."""
+        return _fold_plan(self.gaps.head, self.gaps.period)
 
     def cum(self, k: int) -> int:
         return self.gaps.cum(k)
@@ -103,11 +113,8 @@ class Quadratic2D:
 # moments: x d/dx u = u and y d/dy u = g u, so with P = 1 + S
 #   (x d/dx) u P = u (P + S_k),  (y d/dy) u P = u (g P + S_m),
 # and the second-order moments follow by applying the same rules again.
-# A zero gap drops every g-term, which matters on Fraction inputs.
-
-
-def _step0(u, g, acc):
-    return (u * (1 + acc[0]),)
+# A zero gap drops every g-term, which matters on Fraction inputs.  The
+# value alone (order 0) is folded inline by ``theta_eval``.
 
 
 def _step1(u, g, acc):
@@ -126,25 +133,27 @@ def _step2(u, g, acc):
     return (u * p, u * q, u * w, u * (q + k + kk), u * (g * q + m + km), u * (g * (w + m) + mm))
 
 
+def _fold_plan(head, period):
+    return head[::-1], period[::-1], sorted(set(head + period)), len(period), sum(period)
+
+
 # each step with the moments of an empty sum
-_STEPS = ((_step0, (0,)), (_step1, (0,) * 3), (_step2, (0,) * 6))
+_STEPS = {1: (_step1, (0,) * 3), 2: (_step2, (0,) * 6)}
 
 
-def _fold(step, us, gaps, acc):
-    """Apply the Horner step for each gap, last to first."""
-    for g in reversed(gaps):
+def _fold(step, us, gaps_rev, acc):
+    """Apply the Horner step for each gap of ``gaps_rev`` (last gap first)."""
+    for g in gaps_rev:
         acc = step(us[g], g, acc)
     return acc
 
 
 def _fixed_point_tail(a, rho, c, r: int, s: int):
     """Moments of the periodic tail T = a + rho T, that is T = c a with
-    c = 1 / (1 - rho), given the moments a of one period.  They follow by
-    applying the Euler operators to the identity, with x d/dx rho = r rho
-    and y d/dy rho = s rho for rho = x^r y^s."""
+    c = 1 / (1 - rho), given the first and second moments a of one
+    period.  They follow by applying the Euler operators to the identity,
+    with x d/dx rho = r rho and y d/dy rho = s rho for rho = x^r y^s."""
     t = c * a[0]
-    if len(a) == 1:
-        return (t,)
     rt, st = r * rho, s * rho
     tk = c * (a[1] + rt * t)
     tm = c * (a[2] + st * t)
@@ -156,16 +165,10 @@ def _fixed_point_tail(a, rho, c, r: int, s: int):
             c * (a[5] + s * st * t + 2 * st * tm))
 
 
-def _series(spec: ThetaSpec, alpha, beta, order: int, min_head: int = 0):
-    """S = sum_{k>=1} x^k y^{mbar_k} and its Euler moments up to ``order``.
-
-    Returns (x, y, moments, absacc, terms).  The moments are S, then
-    S_k = x dS/dx and S_m = y dS/dy, then S_kk, S_km and S_mm: the series
-    with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2.
-    ``absacc`` is the magnitude sum behind the roundoff bound, the head
-    terms plus the first period of the tail weighted by 3 |1/(1 - rho)|.
-    ``min_head`` unrolls that many period copies into the head.
-    """
+def _setup(spec: ThetaSpec, alpha, beta, min_head: int = 0):
+    """The convergence guards, then (x, y, plan, rho, c, us) with
+    c = 1 / (1 - rho) and us[g] = x y^g for each gap g, unused entries 0.
+    ``min_head`` unrolls that many period copies into the head."""
     g = spec.gaps
     x = (alpha - 1) / beta
     y = alpha / beta
@@ -175,23 +178,26 @@ def _series(spec: ThetaSpec, alpha, beta, order: int, min_head: int = 0):
         raise ConvergenceError(
             f"series ratio {float(eta):.6f} >= 0.999 at alpha={float(alpha)}, beta={float(beta)}"
         )
-    head = g.head + g.period * max(0, min_head)
-    r = len(g.period)
-    s = sum(g.period)
+    plan = spec._plan if min_head <= 0 else _fold_plan(g.head + g.period * min_head, g.period)
+    _, _, distinct, r, s = plan
     rho = x ** r * y ** s
     if abs(rho) >= 1:
         raise ConvergenceError("periodic tail ratio has modulus >= 1")
     c = 1 / (1 - rho)
+    us = [0] * (distinct[-1] + 1)
+    for gap in distinct:
+        us[gap] = x * y ** gap
+    return x, y, plan, rho, c, us
 
-    us = {gap: x * y ** gap for gap in set(head + g.period)}
+
+def _moments(spec: ThetaSpec, alpha, beta, order: int):
+    """(x, y, moments) for order 1 or 2.  The moments are S, then
+    S_k = x dS/dx and S_m = y dS/dy, then S_kk, S_km and S_mm: the series
+    with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2."""
+    x, y, (head_rev, period_rev, _, r, s), rho, c, us = _setup(spec, alpha, beta)
     step, zero = _STEPS[order]
-    period = _fold(step, us, g.period, zero)
-    moments = _fold(step, us, head, _fixed_point_tail(period, rho, c, r, s))
-
-    mags = {gap: abs(float(u)) for gap, u in us.items()}
-    tail_mag = 3 * abs(float(c)) * _fold(_step0, mags, g.period, (0.0,))[0]
-    absacc = _fold(_step0, mags, head, (tail_mag,))[0]
-    return x, y, moments, absacc, len(head) + r
+    tail = _fixed_point_tail(_fold(step, us, period_rev, zero), rho, c, r, s)
+    return x, y, _fold(step, us, head_rev, tail)
 
 
 def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12, min_head: int = 0) -> ThetaValue:
@@ -202,12 +208,22 @@ def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12, min_head: int =
     ``min_head`` unrolls extra period copies into the head (used to verify
     the bound, the value must not move).
     """
-    _, _, (sum0,), absacc, terms = _series(spec, alpha, beta, 0, min_head)
-    value = 1 - beta + sum0
-    bound = 8e-16 * (absacc + 1.0)
+    _, _, (head_rev, period_rev, _, r, _), _, c, us = _setup(spec, alpha, beta, min_head)
+    mags = [abs(float(u)) for u in us]
+    acc, mag = 0, 0.0
+    for gap in period_rev:
+        acc = us[gap] * (1 + acc)
+        mag = mags[gap] * (1 + mag)
+    acc = c * acc
+    mag = 3 * abs(float(c)) * mag  # the tail's first period, weighted 3 |1/(1 - rho)|
+    for gap in head_rev:
+        acc = us[gap] * (1 + acc)
+        mag = mags[gap] * (1 + mag)
+    value = 1 - beta + acc
+    bound = 8e-16 * (mag + 1.0)
     if bound > tol:
         raise ConvergenceError(f"roundoff bound {bound:.2e} exceeds requested tol {tol:.2e}")
-    return ThetaValue(value, bound, terms)
+    return ThetaValue(value, bound, len(head_rev) + r)
 
 
 def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
@@ -233,7 +249,7 @@ def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
 
 def theta_grad(spec: ThetaSpec, alpha, beta):
     """First partials (d_alpha, d_beta) from the first Euler moments."""
-    x, y, (_, k, m), _, _ = _series(spec, alpha, beta, 1)
+    x, y, (_, k, m) = _moments(spec, alpha, beta, 1)
     d_alpha = (k / x + m / y) / beta
     d_beta = -1 - (k + m) / beta
     return d_alpha, d_beta
@@ -242,7 +258,7 @@ def theta_grad(spec: ThetaSpec, alpha, beta):
 def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
     """Second differential as a quadratic form; the mixed partial is
     computed once, so symmetry holds by construction."""
-    x, y, (_, k, m, kk, km, mm), _, _ = _series(spec, alpha, beta, 2)
+    x, y, (_, k, m, kk, km, mm) = _moments(spec, alpha, beta, 2)
     b2 = beta * beta
     daa = ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2
     dab = -((kk + km) / x + (km + mm) / y) / b2

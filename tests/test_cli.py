@@ -4,6 +4,10 @@ error handling."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,9 @@ def test_error_is_machine_readable():
      "--steps must be positive"),
     (["raster", "--field", "theta_sign", "--preset", "thex", "--window", "0.3,0.9,0.55,0.99",
       "--size", "3x", "--out", "unused"], "--size needs WIDTHxHEIGHT"),
+    (["diagonal", "--seq", "RLLRLLLRLLLLRC"], "not maximal"),
+    (["isentrope", "--seq", "RLLRLLLRLLLLRC", "--alpha-from", "0.55", "--alpha-to", "0.65",
+      "--steps", "3"], "not maximal"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli(args)
@@ -211,3 +218,12 @@ def test_bad_sequence_text():
     rc, _, err = run_cli(["theta", "--seq", "RLX", "--alpha", "0.6", "--beta", "0.8"])
     assert rc == 1
     assert "parse" in json.loads(err)["error"]
+
+
+def test_import_leaves_numpy_out():
+    # numpy would add about 12 MB of RSS and 165 ms of start-up to every run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, skewtent, skewtent.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

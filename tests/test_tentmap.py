@@ -3,8 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtent import (
     LambdaMu,
@@ -83,6 +86,48 @@ def test_kneading_stops_at_c():
     p = TentParams(0.5, phi / 2)
     got = kneading_prefix(p, 10, eps_c=1e-12)
     assert got == list("RLC")
+
+
+def _reference_prefix(p, n, eps_c=0):
+    """kneading_prefix spelled out with tent_eval for every step."""
+    syms = []
+    x = p.beta
+    for _ in range(n):
+        if abs(x - p.alpha) <= eps_c:
+            syms.append("C")
+            break
+        syms.append("L" if x < p.alpha else "R")
+        x = tent_eval(p, x)
+    return syms
+
+
+@given(st.floats(0.5, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from([0, 0.0, 1e-12, 1e-6, 1e-2, 0.2]), st.integers(1, 80))
+@settings(max_examples=300, deadline=None)
+def test_kneading_prefix_matches_tent_eval_orbit(b, t, eps_c, n):
+    p = TentParams((1 - b) + t * (2 * b - 1), b)  # a point of U
+    assert kneading_prefix(p, n, eps_c=eps_c) == _reference_prefix(p, n, eps_c)
+
+
+def test_kneading_prefix_matches_reference_off_u_and_exact():
+    rng = random.Random(11)
+    for _ in range(300):
+        p = TentParams(rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0))
+        assert kneading_prefix(p, 40) == _reference_prefix(p, 40)
+    p = TentParams(Fraction(2, 5), Fraction(4, 5))
+    assert kneading_prefix(p, 30) == _reference_prefix(p, 30)
+    # an exact orbit that lands on alpha after one step: R C
+    p = TentParams(Fraction(1, 3), Fraction(2, 3))
+    assert kneading_prefix(p, 10) == _reference_prefix(p, 10)
+
+
+def test_kneading_prefix_refuses_orbit_leaving_unit_interval():
+    # beta > 1 cannot be a TentParams; a stand-in point lets the orbit leave [0, 1]
+    p = SimpleNamespace(alpha=0.4, beta=1.2)
+    with pytest.raises(ValueError, match="outside"):
+        kneading_prefix(p, 5)
+    with pytest.raises(ValueError, match="outside"):
+        _reference_prefix(p, 5)
 
 
 def test_lambda_mu_examples():

@@ -237,6 +237,24 @@ def test_exact_values_pinned(name, spec):
         assert got == pin
 
 
+# Float value, error bound and term count, pinned bit for bit: the value
+# fold and its roundoff sum must keep their operation order.
+FLOAT_PINS = [
+    (THEX, 0.62, 0.8, 0.10473788118454327, 8.99550922587253e-16, 47),
+    (THEX, 0.4875, 0.7, 0.21940961552890326, 8.820463495551213e-16, 47),
+    (THEX, 0.3, 0.75, 0.24617952439323645, 8.031153659230857e-16, 47),
+    (RLLRC, 0.62, 0.8, -0.001426794253580388, 1.846702083373501e-15, 2),
+    (RLLRC, 0.4875, 0.7, 0.08748261064316581, 2.37127365819848e-15, 2),
+    (RLLRC, 0.3, 0.75, 0.15089242007756903, 1.321263696953722e-15, 2),
+]
+
+
+@pytest.mark.parametrize("spec, a, b, value, bound, terms", FLOAT_PINS)
+def test_float_values_pinned(spec, a, b, value, bound, terms):
+    tv = theta_eval(spec, a, b)
+    assert (tv.value, tv.error_bound, tv.terms_used) == (value, bound, terms)
+
+
 # ------------------------------------------------------------ evaluation guards
 
 
