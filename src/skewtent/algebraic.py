@@ -9,7 +9,6 @@ exactly when the reduced factor is linear or has a square discriminant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Mapping, Sequence
@@ -70,10 +69,6 @@ class BivarPoly:
                 out[key] = out.get(key, Fraction(0)) + v1 * v2
         return BivarPoly(out)
 
-    def scale(self, c) -> "BivarPoly":
-        c = Fraction(c)
-        return BivarPoly({k: v * c for k, v in self.coeffs.items()})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BivarPoly) and self.coeffs == other.coeffs
 
@@ -119,10 +114,6 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def total_degree(self) -> int:
-        return max((i + j for (i, j) in self.coeffs), default=0)
-
     def normalized(self) -> "BivarPoly":
         """Primitive integer coefficients, positive leading graded-lex term."""
         if self.is_zero:
@@ -163,46 +154,13 @@ class BivarPoly:
 # -- branch composition ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalExpr:
-    """Value of a branch composition: numerator over alpha^i (alpha-1)^j.
-
-    Branch maps contribute no other denominator factors, so the denominator
-    is tracked by its two exponents rather than as a general polynomial.
-    """
-
-    numerator: BivarPoly
-    alpha_power: int = 0
-    alpha_minus_one_power: int = 0
-
-    def denominator(self) -> BivarPoly:
-        d = BivarPoly.constant(1)
-        a = BivarPoly.alpha()
-        shifted = a - BivarPoly.constant(1)
-        for _ in range(self.alpha_power):
-            d = d * a
-        for _ in range(self.alpha_minus_one_power):
-            d = d * shifted
-        return d
-
-    def apply_branch(self, symbol: str) -> "RationalExpr":
-        b = BivarPoly.beta()
-        if symbol == L:
-            # (beta/alpha) x
-            return RationalExpr(self.numerator * b, self.alpha_power + 1,
-                                self.alpha_minus_one_power)
-        if symbol == R:
-            # beta (x - 1) / (alpha - 1)
-            return RationalExpr(b * (self.numerator - self.denominator()),
-                                self.alpha_power, self.alpha_minus_one_power + 1)
-        raise ValueError(f"branch symbol must be L or R, got {symbol!r}")
-
-
 def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
     """Numerator polynomial of the condition T^n(beta) = alpha along a word.
 
     The word names the branch applied at each orbit point, starting with the
     leading R consumed at beta itself; a trailing C is accepted and dropped.
+    The orbit point is folded as num/den, den a product of alpha and
+    alpha - 1, the only denominators the branch maps contribute.
     The zero set of the result contains the equi-kneading curve of the word
     and the diagonal.  Content is removed and the sign fixed so the leading
     graded-lex monomial (alpha first) is positive.
@@ -220,21 +178,25 @@ def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
     if syms[0] != R:
         raise ValueError("word must start with R")
 
-    expr = RationalExpr(BivarPoly.beta())
+    one, a, b = BivarPoly.constant(1), BivarPoly.alpha(), BivarPoly.beta()
+    num, den = b, one
     for s in syms:
-        expr = expr.apply_branch(s)
-    result = expr.numerator - BivarPoly.alpha() * expr.denominator()
-    return result.normalized()
+        if s == L:  # (beta/alpha) x
+            num, den = num * b, den * a
+        elif s == R:  # beta (x - 1) / (alpha - 1)
+            num, den = b * (num - den), den * (a - one)
+        else:
+            raise ValueError(f"branch symbol must be L or R, got {s!r}")
+    return (num - a * den).normalized()
 
 
 # -- univariate helpers (coefficients ascending, Fractions) -----------------------
 
 
-def _upoly_eval(coeffs: Sequence[Fraction], x):
-    total = Fraction(0) if isinstance(x, Fraction) else 0.0
-    convert = (lambda c: c) if isinstance(x, Fraction) else float
+def _upoly_eval(coeffs: Sequence, x):
+    total = 0
     for c in reversed(coeffs):
-        total = total * x + convert(c)
+        total = total * x + c
     return total
 
 
@@ -249,27 +211,25 @@ def _upoly_trim(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def _upoly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = _upoly_trim(a)
+def _upoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list, list]:
+    """Exact long division: (q, r) with a = q b + r and deg r < deg b."""
+    r = _upoly_trim(a)
     b = _upoly_trim(b)
-    if b == [Fraction(0)]:
+    if b == [0]:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    while len(r) >= len(b) and r != [Fraction(0)]:
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
+    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
+    for k in range(len(r) - len(b), -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
         for i in range(len(b)):
-            r[shift + i] -= factor * b[i]
-        r.pop()  # leading term cancels exactly
-        r = _upoly_trim(r)
-    return r
+            r[k + i] -= c * b[i]
+    return _upoly_trim(q), _upoly_trim(r[: len(b) - 1])
 
 
 def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     a = _upoly_trim(a)
     b = _upoly_trim(b)
     while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _upoly_rem(a, b)
+        a, b = b, _upoly_divmod(a, b)[1]
     if a[-1] != 0:
         a = [c / a[-1] for c in a]
     return a
@@ -277,18 +237,7 @@ def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 def _squarefree(coeffs: Sequence[Fraction]) -> list[Fraction]:
     g = _upoly_gcd(coeffs, _upoly_derivative(coeffs))
-    if len(g) == 1:
-        return _upoly_trim(coeffs)
-    # divide exactly by the gcd
-    a = _upoly_trim(coeffs)
-    q: list[Fraction] = [Fraction(0)] * (len(a) - len(g) + 1)
-    rem = list(a)
-    for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(g) - 1] / g[-1]
-        q[k] = c
-        for i in range(len(g)):
-            rem[k + i] -= c * g[i]
-    return _upoly_trim(q)
+    return _upoly_trim(coeffs) if len(g) == 1 else _upoly_divmod(coeffs, g)[0]
 
 
 def _exact_roots_low_degree(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -324,7 +273,8 @@ def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi, grid: int | None = No
     lo_f, hi_f = float(lo), float(hi)
     eps = (hi_f - lo_f) * 1e-12
     xs = [lo_f + eps + (hi_f - lo_f - 2 * eps) * i / grid for i in range(grid + 1)]
-    return sign_change_roots(lambda x: _upoly_eval(sf, x), xs)
+    sf_f = [float(c) for c in sf]
+    return sign_change_roots(lambda x: _upoly_eval(sf_f, x), xs)
 
 
 # -- diagonal analysis ---------------------------------------------------------
@@ -357,8 +307,9 @@ def slope_at_diagonal(p: BivarPoly, beta0):
     Returns ((1, slope), quadratic).
     """
     exact = isinstance(beta0, Fraction)
-    da = p.partial("alpha").evaluate(beta0, beta0)
-    db = p.partial("beta").evaluate(beta0, beta0)
+    pa, pb = p.partial("alpha"), p.partial("beta")
+    da = pa.evaluate(beta0, beta0)
+    db = pb.evaluate(beta0, beta0)
     scale = max(1.0, max(abs(float(v)) for v in p.coeffs.values()))
     if exact:
         nonzero = da != 0 or db != 0
@@ -370,9 +321,9 @@ def slope_at_diagonal(p: BivarPoly, beta0):
             "first differential does not vanish at the diagonal point; "
             f"implicit differentiation applies instead, slope {implicit}"
         )
-    qa = p.partial("alpha").partial("alpha").evaluate(beta0, beta0)
-    qb = p.partial("alpha").partial("beta").evaluate(beta0, beta0)
-    qc = p.partial("beta").partial("beta").evaluate(beta0, beta0)
+    qa = pa.partial("alpha").evaluate(beta0, beta0)
+    qb = pa.partial("beta").evaluate(beta0, beta0)
+    qc = pb.partial("beta").evaluate(beta0, beta0)
     if qc == 0:
         raise ValueError("degenerate second differential (C = 0)")
     resid = qa + 2 * qb + qc

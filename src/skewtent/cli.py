@@ -37,6 +37,8 @@ def _kneading_word(text: str) -> symbolic.KneadingSeq:
     m = symbolic.parse_seq(text)
     if not symbolic.is_maximal(m):
         raise ValueError(f"{text} is not maximal, so it is not a kneading sequence")
+    if symbolic.in_class_M(m) == symbolic.NO:
+        raise ValueError(f"{text} is maximal but in_class_M says no: not a kneading sequence")
     return m
 
 
@@ -45,6 +47,8 @@ def _maybe_exact(x):
 
 
 def cmd_knead(args) -> None:
+    if not 0 <= args.eps_c < 1:
+        raise ValueError(f"--eps-c must lie in [0, 1), got {args.eps_c}")
     p = tentmap.TentParams(args.alpha, args.beta)
     print("".join(tentmap.kneading_prefix(p, args.depth, eps_c=args.eps_c)))
 

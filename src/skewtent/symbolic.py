@@ -5,7 +5,10 @@ Sequences are represented canonically so that structural equality equals
 semantic equality.  Finite admissible sequences are a word of L/R symbols
 followed by a terminal C; infinite ones are eventually periodic and stored
 as preperiod plus primitive period.  Plain words (no C) are passed around
-as strings or tuples of single-character symbols.
+as strings or tuples of single-character symbols.  Every scan (order,
+maximality, class membership) reads a sequence through ``text(n)``, its
+first n symbols as a string, expanded in that one place from the
+preperiod and period joined once per instance.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ C = "C"
 R = "R"
 
 _SYMBOL_RANK = {L: 0, C: 1, R: 2}
+_FLIP = str.maketrans("LR", "RL")
 
 LESS = -1
 EQUAL = 0
@@ -32,11 +36,7 @@ UNKNOWN = "unknown"
 
 def flip(symbol: str) -> str:
     """L and R swap, C is fixed."""
-    if symbol == L:
-        return R
-    if symbol == R:
-        return L
-    return C
+    return symbol.translate(_FLIP)
 
 
 def word_parity_even(word: Sequence[str]) -> bool:
@@ -89,6 +89,10 @@ class KneadingSeq:
             pre, period = _canonical(pre, period)
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "period", period)
+        # joined once for text(n); eager, as a cached property's first
+        # access costs more than the joins
+        object.__setattr__(self, "_head", "".join(pre) + (C if period is None else ""))
+        object.__setattr__(self, "_tail", "".join(period or ()))
 
     # -- basic structure -------------------------------------------------
 
@@ -111,14 +115,15 @@ class KneadingSeq:
             return self.period[(i - len(self.pre)) % len(self.period)]
         return C if i == len(self.pre) else None
 
+    def text(self, n: int) -> str:
+        """The first n symbols as a string, shorter when the C comes first."""
+        head, tail = self._head, self._tail
+        if tail and n > len(head):
+            head += tail * ((n - len(head)) // len(tail) + 1)
+        return head[:n]
+
     def prefix(self, n: int) -> list[str]:
-        out = []
-        for i in range(n):
-            s = self.symbol_at(i)
-            if s is None:
-                break
-            out.append(s)
-        return out
+        return list(self.text(n))
 
     def __lt__(self, other: "KneadingSeq") -> bool:
         return compare(self, other) < 0
@@ -166,24 +171,19 @@ def parse_word(text: str) -> tuple[str, ...]:
 # -- ordering ------------------------------------------------------------
 
 
-def _parity_order(a_sym, b_sym, n: int) -> int:
-    """Parity-lexicographic order of two symbol callbacks over indices < n.
+def _parity_order(a: str, b: str) -> int:
+    """Parity-lexicographic order of two symbol strings.
 
     At the first differing index the symbol order L < C < R applies,
     reversed when the common prefix holds an odd number of R's.  Agreement
-    through a common C, or through all n indices, gives EQUAL.
+    through a common C, or through the shorter string, gives EQUAL.
     """
-    odd = False
-    for i in range(n):
-        x = a_sym(i)
-        y = b_sym(i)
+    for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             d = LESS if _SYMBOL_RANK[x] < _SYMBOL_RANK[y] else GREATER
-            return -d if odd else d
+            return -d if a.count(R, 0, i) % 2 else d
         if x == C:
             return EQUAL
-        if x == R:
-            odd = not odd
     return EQUAL
 
 
@@ -206,7 +206,7 @@ def compare(a: KneadingSeq, b: KneadingSeq) -> int:
             + max(len(a.period), len(b.period))
             + 1
         )
-    return _parity_order(a.symbol_at, b.symbol_at, bound)
+    return _parity_order(a.text(bound), b.text(bound))
 
 
 def compare_prefix(symbols: Sequence[str], target: KneadingSeq) -> int:
@@ -215,8 +215,8 @@ def compare_prefix(symbols: Sequence[str], target: KneadingSeq) -> int:
     Returns EQUAL when the two agree through the available length, which a
     caller must interpret as equal-within-depth.
     """
-    syms = list(symbols)
-    return _parity_order(syms.__getitem__, target.symbol_at, len(syms))
+    syms = "".join(symbols)
+    return _parity_order(syms, target.text(len(syms)))
 
 
 # -- shift and maximality --------------------------------------------------
@@ -262,40 +262,21 @@ def star_product(word: Sequence[str] | str, b: KneadingSeq) -> KneadingSeq:
         raise ValueError("star factor must be nonempty")
     even = word_parity_even(word)
 
-    def block(sym: str) -> tuple[str, ...]:
-        return word + (sym if even else flip(sym),)
+    def blocks(syms: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(x for s in syms for x in word + (s if even else flip(s),))
 
     if b.is_finite:
-        pre: tuple[str, ...] = ()
-        for s in b.pre:
-            pre += block(s)
-        pre += word  # final copy before the terminal C
-        return KneadingSeq(pre, None)
-    pre = ()
-    for s in b.pre:
-        pre += block(s)
-    per: tuple[str, ...] = ()
-    for s in b.period:
-        per += block(s)
-    return KneadingSeq(pre, per)
+        return KneadingSeq(blocks(b.pre) + word, None)  # final copy before the C
+    return KneadingSeq(blocks(b.pre), blocks(b.period))
 
 
 def doubling_limit_prefix(n: int) -> list[str]:
     """First n symbols of the period-doubling limit sequence (the fixed
     point of prefixing with R via the star product)."""
-    syms: list[str] = [R]
+    syms = R
     while len(syms) < n:
-        nxt: list[str] = []
-        for s in syms:
-            nxt.append(R)
-            nxt.append(flip(s))
-        syms = nxt
-    return syms[:n]
-
-
-def doubling_word(j: int) -> tuple[str, ...]:
-    """The j-fold star power of R as a plain word (length 2**j - 1)."""
-    return tuple(doubling_limit_prefix(2 ** j - 1))
+        syms = R + R.join(syms.translate(_FLIP))
+    return list(syms[:n])
 
 
 # -- minus variant -----------------------------------------------------------
@@ -374,22 +355,13 @@ class GapSeq:
 
     def symbols(self, n: int) -> list[str]:
         """First n symbols of the encoded sequence."""
-        out: list[str] = []
-        k = 1
-        while len(out) < n:
-            out.append(R)
-            out.extend([L] * self.gap(k))
-            k += 1
-        return out[: n]
+        return self.to_kneading().prefix(n)
 
     def to_kneading(self) -> KneadingSeq:
-        pre: tuple[str, ...] = ()
-        for g in self.head:
-            pre += (R,) + (L,) * g
-        per: tuple[str, ...] = ()
-        for g in self.period:
-            per += (R,) + (L,) * g
-        return KneadingSeq(pre, per)
+        def runs(gaps: tuple[int, ...]) -> str:
+            return "".join(R + L * g for g in gaps)
+
+        return KneadingSeq(runs(self.head), runs(self.period))
 
     def to_text(self) -> str:
         head = ",".join(str(g) for g in self.head)
@@ -427,17 +399,10 @@ def gap_decomposition(m: KneadingSeq) -> GapSeq:
         raise ValueError("sequence must start with R")
     if all(s == L for s in m.period):
         raise ValueError("sequence ends in L^inf, gaps not representable")
-    q = len(m.period)
-    expanded = list(m.pre) + list(m.period) * 3
-    r_pos = [i for i, s in enumerate(expanded) if s == R]
-    r_in_period = sum(1 for s in m.period if s == R)
-    i0 = sum(1 for i in r_pos if i < len(m.pre))
-    need = i0 + r_in_period + 1
-    assert len(r_pos) >= need
-    gaps = [r_pos[k] - r_pos[k - 1] - 1 for k in range(1, need)]
-    head = tuple(gaps[: i0])
-    period = tuple(gaps[i0: i0 + r_in_period])
-    return GapSeq(head, period)
+    r_pos = [i for i, s in enumerate(m.text(len(m.pre) + 3 * len(m.period))) if s == R]
+    i0 = m.pre.count(R)
+    gaps = [r_pos[k] - r_pos[k - 1] - 1 for k in range(1, i0 + m.period.count(R) + 1)]
+    return GapSeq(tuple(gaps[:i0]), tuple(gaps[i0:]))
 
 
 # -- membership in the kneading class ----------------------------------------
@@ -449,27 +414,14 @@ def _try_factor(m: KneadingSeq, a: int) -> bool:
     The leading word repeats literally at stride a+1, single separator
     symbols in between.  Exact for eventually periodic sequences.
     """
-    word = m.prefix(a)
-    if len(word) < a or C in word:
-        return False
     if m.is_finite:
-        n = m.finite_length
-        if n % (a + 1) != 0 or n // (a + 1) < 2:
+        blocks, rest = divmod(m.finite_length, a + 1)
+        if rest or blocks < 2:
             return False
-        for k in range(n // (a + 1)):
-            base = k * (a + 1)
-            for i in range(a):
-                if m.symbol_at(base + i) != word[i]:
-                    return False
-        return True
-    q = len(m.period)
-    k_max = (len(m.pre) + 2 * math.lcm(a + 1, q)) // (a + 1) + 2
-    for k in range(k_max + 1):
-        base = k * (a + 1)
-        for i in range(a):
-            if m.symbol_at(base + i) != word[i]:
-                return False
-    return True
+    else:
+        blocks = (len(m.pre) + 2 * math.lcm(a + 1, len(m.period))) // (a + 1) + 3
+    text = m.text(blocks * (a + 1))
+    return all(text.startswith(text[:a], k * (a + 1)) for k in range(1, blocks))
 
 
 def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
@@ -483,7 +435,8 @@ def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
     if not is_maximal(m):
         return NO
 
-    cond2 = _parity_order(m.symbol_at, doubling_limit_prefix(horizon).__getitem__, horizon)
+    limit = "".join(doubling_limit_prefix(horizon))
+    cond2 = _parity_order(m.text(horizon), limit)
     if cond2 == LESS:
         return NO
 
@@ -495,31 +448,22 @@ def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
     elif all(s == R for s in m.period):
         # R^inf tail: every block eventually sits inside the tail, so the
         # leading word is all R and cannot reach past the first L
-        first_l = 0
-        while m.symbol_at(first_l) == R:
-            first_l += 1
-        a_cap = first_l
+        a_cap = m.text(len(m.pre)).find(L)
         complete = horizon >= a_cap
     elif all(s == L for s in m.period):
         # L^inf tail: blocks eventually sit inside the tail, forcing an
         # all-L leading word, yet the word starts with the sequence head;
         # a maximal sequence starts with R, so no factorization exists
-        a_cap = 0 if m.symbol_at(0) == R else horizon
-        complete = m.symbol_at(0) == R
+        complete = m.text(1) == R
+        a_cap = 0 if complete else horizon
     else:
         a_cap = horizon
         complete = False
 
-    doubling_words = set()
-    j = 1
-    while 2 ** j - 1 <= min(a_cap, horizon):
-        doubling_words.add(doubling_word(j))
-        j += 1
-
+    # a star power of R is the doubling-limit prefix of length 2**j - 1
     for a in range(1, min(a_cap, horizon) + 1):
-        if _try_factor(m, a):
-            if tuple(m.prefix(a)) not in doubling_words:
-                return NO
+        if _try_factor(m, a) and not (a & (a + 1) == 0 and limit[:a] == m.text(a)):
+            return NO
 
     if cond2 == EQUAL or not complete:
         return UNKNOWN

@@ -3,8 +3,11 @@ tangent slopes."""
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtent import (
     BivarPoly,
@@ -13,7 +16,7 @@ from skewtent import (
     isolate_real_roots,
     slope_at_diagonal,
 )
-from skewtent.algebraic import _squarefree, _upoly_trim
+from skewtent.algebraic import _squarefree, _upoly_divmod, _upoly_trim
 
 
 def P(d):
@@ -216,3 +219,35 @@ def test_isolate_roots_numeric_path():
     roots = isolate_real_roots(c, 0, Fraction(9, 10))
     assert len(roots) == 1
     assert roots[0] == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
+
+
+# ------------------------------------------------------------ long division
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    return _upoly_trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+@given(st.lists(fractions, min_size=1, max_size=9),
+       st.lists(fractions, min_size=1, max_size=6).filter(lambda b: any(b)))
+@settings(max_examples=300)
+def test_divmod_is_exact(a, b):
+    q, r = _upoly_divmod(a, b)
+    assert _poly_add(_poly_mul(q, b), r) == _upoly_trim(a)
+    assert r == [0] or len(r) < len(_upoly_trim(b))
+    assert all(isinstance(c, Fraction) for c in q + r)
+
+
+def test_divmod_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        _upoly_divmod([Fraction(1)], [Fraction(0), Fraction(0)])

@@ -179,6 +179,11 @@ def test_error_is_machine_readable():
     (["diagonal", "--seq", "RLLRLLLRLLLLRC"], "not maximal"),
     (["isentrope", "--seq", "RLLRLLLRLLLLRC", "--alpha-from", "0.55", "--alpha-to", "0.65",
       "--steps", "3"], "not maximal"),
+    (["diagonal", "--seq", "RLRRRLRC"], "in_class_M says no"),
+    (["isentrope", "--seq", "RLRRRLRC", "--alpha-from", "0.3", "--alpha-to", "0.6",
+      "--steps", "4"], "in_class_M says no"),
+    (["knead", "--alpha", "0.5", "--beta", "1", "--eps-c", "-0.5"], "--eps-c must lie in [0, 1)"),
+    (["knead", "--alpha", "0.5", "--beta", "1", "--eps-c", "5"], "--eps-c must lie in [0, 1)"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli(args)

@@ -138,6 +138,24 @@ def test_compare_transitive(a, b, c):
         assert compare(a, c) <= 0
 
 
+def _length(a: KneadingSeq) -> int:
+    return a.finite_length if a.is_finite else len(a.pre) + len(a.period)
+
+
+@given(seqs, st.data())
+@settings(max_examples=300)
+def test_text_matches_expansion(a, data):
+    n = data.draw(st.integers(0, 3 * _length(a)))
+    assert a.text(n) == "".join(expand(a, n))
+    assert a.prefix(n) == expand(a, n)
+
+
+@given(seqs, seqs, st.integers(0, 30))
+@settings(max_examples=300)
+def test_compare_prefix_matches_bruteforce(a, b, n):
+    assert compare_prefix(expand(a, n), b) == brute_compare(a, b, n)
+
+
 def test_compare_prefix_truncation():
     target = parse_seq("(RLR)")
     assert compare_prefix(["R", "L"], target) == EQUAL  # equal within depth
@@ -356,3 +374,6 @@ def test_class_membership_horizon_unknown():
     m = parse_seq("RLLR(RL)")
     assert is_maximal(m)
     assert in_class_M(m, horizon=64) == "unknown"
+    # R^inf agrees with a one-symbol doubling limit; the first-L scan of
+    # the R^inf branch must still end
+    assert in_class_M(parse_seq("(R)"), horizon=1) == "unknown"
