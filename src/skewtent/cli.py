@@ -79,6 +79,8 @@ def cmd_hessian(args) -> None:
 
 
 def cmd_isentrope(args) -> None:
+    if args.tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     m = _kneading_word(args.seq)
     n = args.steps
     alphas = [args.alpha_from + (args.alpha_to - args.alpha_from) * i / (n - 1) for i in range(n)] \

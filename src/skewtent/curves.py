@@ -83,6 +83,14 @@ def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
         return NAN
 
 
+def _side(alpha: float, beta: float, m: KneadingSeq, depth: int, eps_c=0) -> int:
+    """Parity order of K(alpha, beta) against m on a depth-``depth`` prefix.
+    No symbol past a C-terminated m's own C can change the answer, so the
+    prefix stops there."""
+    n = min(depth, m.finite_length) if m.is_finite else depth
+    return compare_prefix(kneading_prefix(TentParams(alpha, beta), n, eps_c=eps_c), m)
+
+
 def kneading_bisect_beta(
     m: KneadingSeq,
     alpha: float,
@@ -92,36 +100,34 @@ def kneading_bisect_beta(
 ) -> IsentropePoint:
     """Locate beta with K(alpha, beta) = m by bisection on the kneading order.
 
-    The bracket starts at (max(1-alpha, alpha, 1/2), 1); comparisons use
-    depth-``depth`` prefixes.  The returned point carries the Theta residual
-    of m's spec and a prefix verification at depth ``verify_depth``.
+    The bracket starts at (max(1-alpha, alpha, 1/2), 1) and halves until it
+    is no wider than ``tol`` or its ends are adjacent floats.  Comparisons
+    read at most ``depth`` symbols; a C-terminated m is decided within its
+    own length, so no more are computed.  The returned point carries the
+    Theta residual of m's spec and a prefix verification at depth
+    ``verify_depth``.
     """
     if m == RL_INFINITY:
         # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
-        ok = compare_prefix(kneading_prefix(TentParams(alpha, 1.0), verify_depth), m) == EQUAL
-        return IsentropePoint(alpha, 1.0, NAN, ok)
+        return IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m, verify_depth) == EQUAL)
 
     spec = ThetaSpec.from_seq(m)
     lo = max(1 - alpha, alpha, 0.5) + 1e-9
     hi = 1.0
     if lo >= hi:
         raise BracketError(f"empty beta range at alpha={alpha}")
-
-    def side(beta: float) -> int:
-        return compare_prefix(kneading_prefix(TentParams(alpha, beta), depth), m)
-
-    c_lo = side(lo)
-    if c_lo >= 0:
+    if _side(alpha, lo, m, depth) >= 0:
         raise BracketError(
             f"no valid bracket at alpha={alpha}: kneading at beta={lo:.6g} is not below target"
         )
-    c_hi = side(hi)
-    if c_hi < 0:
+    if _side(alpha, hi, m, depth) < 0:
         raise BracketError(f"no valid bracket at alpha={alpha}: top of range is below target")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        c = side(mid)
+        if not lo < mid < hi:
+            break  # adjacent floats: the bracket cannot shrink any further
+        c = _side(alpha, mid, m, depth)
         if c == EQUAL:
             lo = hi = mid
             break
@@ -131,9 +137,7 @@ def kneading_bisect_beta(
             hi = mid
     beta = 0.5 * (lo + hi)
 
-    eps_c = 1e-6 if m.is_finite else 0.0
-    got = kneading_prefix(TentParams(alpha, beta), verify_depth, eps_c=eps_c)
-    ok = compare_prefix(got, m) == EQUAL
+    ok = _side(alpha, beta, m, verify_depth, eps_c=1e-6 if m.is_finite else 0) == EQUAL
     return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
 
@@ -173,12 +177,8 @@ def counterexample_scan(
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 
-    out: list[ScanRoot] = []
-    for r in roots:
-        c = compare_prefix(kneading_prefix(TentParams(alpha0, r), depth), target)
-        label = {LESS: "less", EQUAL: "equal", GREATER: "greater"}[c]
-        out.append(ScanRoot(r, label))
-    return out
+    labels = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
+    return [ScanRoot(r, labels[_side(alpha0, r, target, depth)]) for r in roots]
 
 
 # -- rasters ---------------------------------------------------------------
@@ -284,16 +284,10 @@ def write_pgm(grid: RasterGrid, path: str | Path) -> dict:
     vmin = min(finite) if finite else 0.0
     vmax = max(finite) if finite else 0.0
     span = vmax - vmin
-    data = bytearray()
-    for v in grid.values:
-        if math.isnan(v):
-            data.append(SENTINEL_GRAY)
-        elif span == 0:
-            data.append(127)
-        else:
-            data.append(int(round((v - vmin) / span * 254)))
+    data = bytes([SENTINEL_GRAY if math.isnan(v) else 127 if span == 0
+                  else round((v - vmin) / span * 254) for v in grid.values])
     header = f"P5\n{grid.width} {grid.height}\n255\n".encode()
-    path.write_bytes(header + bytes(data))
+    path.write_bytes(header + data)
     sidecar = {
         "field": grid.field,
         "window": [grid.alpha_range[0], grid.alpha_range[1], grid.beta_range[0], grid.beta_range[1]],

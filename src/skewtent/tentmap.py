@@ -124,24 +124,26 @@ def lap_counts(p: TentParams, n: int, cap: int = 4_000_000) -> list[int]:
     """Lap numbers of T, T^2, ..., T^n (count of monotone pieces).
 
     Pieces are tracked by their endpoint values only; a piece splits when
-    its value interval straddles alpha.
+    its value interval straddles alpha.  A piece's future depends on its
+    endpoints alone, so pieces are merged by endpoint pair and carry a
+    multiplicity; ``cap`` bounds the lap count, not the pieces stored.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    pieces: list[tuple[float, float]] = [(0.0, p.beta), (p.beta, 0.0)]
+    pieces = {(0.0, p.beta): 1, (p.beta, 0.0): 1}
     counts = [2]
-    total = 2
     for _ in range(n - 1):
-        nxt: list[tuple[float, float]] = []
-        for (u, v) in pieces:
+        nxt: dict[tuple[float, float], int] = {}
+        for (u, v), k in pieces.items():
             lo, hi = (u, v) if u <= v else (v, u)
             if lo < p.alpha < hi:
-                nxt.append((tent_eval(p, u), p.beta))
-                nxt.append((p.beta, tent_eval(p, v)))
+                children = ((tent_eval(p, u), p.beta), (p.beta, tent_eval(p, v)))
             else:
-                nxt.append((tent_eval(p, u), tent_eval(p, v)))
+                children = ((tent_eval(p, u), tent_eval(p, v)),)
+            for piece in children:
+                nxt[piece] = nxt.get(piece, 0) + k
         pieces = nxt
-        total = len(pieces)
+        total = sum(pieces.values())
         counts.append(total)
         if total > cap:
             raise LapOverflowError(f"lap count {total} exceeds cap {cap}")

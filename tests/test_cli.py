@@ -21,6 +21,19 @@ def run_cli(args):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli_process(args, timeout):
+    """Run ``python -m skewtent.cli`` in a fresh process, so that a command
+    that never ends fails the test (TimeoutExpired) instead of hanging it."""
+    done = subprocess.run([sys.executable, "-m", "skewtent.cli", *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
 # ------------------------------------------------------------ goldens
 
 GOLDEN_DIAGONAL_RLC = (
@@ -184,15 +197,30 @@ def test_error_is_machine_readable():
       "--steps", "4"], "in_class_M says no"),
     (["knead", "--alpha", "0.5", "--beta", "1", "--eps-c", "-0.5"], "--eps-c must lie in [0, 1)"),
     (["knead", "--alpha", "0.5", "--beta", "1", "--eps-c", "5"], "--eps-c must lie in [0, 1)"),
+    (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "2",
+      "--tol", "0"], "--tol must be positive"),
+    (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "2",
+      "--tol", "-1"], "--tol must be positive"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
-    rc, out, err = run_cli(args)
+    rc, out, err = run_cli_process(args, timeout=60)
     assert rc == 1
     assert out == ""
     line, = err.splitlines()
     doc = json.loads(line)
     assert set(doc) == {"error", "kind"}
     assert says in doc["error"]
+
+
+def test_lap_overflow_is_one_json_error_line():
+    # the lap count passes the 4M cap near depth 22; merged pieces get
+    # there in a fraction of a second
+    rc, out, err = run_cli_process(["entropy", "--alpha", "0.5", "--beta", "0.999", "--depth", "40"],
+                                   timeout=5)
+    assert (rc, out) == (1, "")
+    line, = err.splitlines()
+    assert json.loads(line) == {"error": "lap count 4144788 exceeds cap 4000000",
+                                "kind": "LapOverflowError"}
 
 
 def test_missing_spec_is_an_error():
@@ -227,8 +255,7 @@ def test_bad_sequence_text():
 
 def test_import_leaves_numpy_out():
     # numpy would add about 12 MB of RSS and 165 ms of start-up to every run
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, skewtent, skewtent.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "False"

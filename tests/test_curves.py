@@ -59,6 +59,17 @@ def test_bisect_rllrc_approaches_diagonal_meet():
         assert abs(pt.beta - b0) <= 10 * da
 
 
+@pytest.mark.parametrize("alpha", [0.55, 0.6])
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300])
+def test_bisect_ends_at_adjacent_floats(alpha, tol):
+    # a bracket of adjacent floats cannot shrink, so a tolerance below their
+    # spacing ends the bisection there; at 0.55 no probe hits the curve
+    # exactly, so only that rule ends it
+    pt = kneading_bisect_beta(parse_seq("RLC"), alpha, tol=tol)
+    assert pt.kneading_ok
+    assert pt.beta == pytest.approx(kneading_bisect_beta(parse_seq("RLC"), alpha).beta, abs=1e-11)
+
+
 def test_bisect_bracket_sides():
     # comparison at the bracket bottom is Less and at the top Greater
     from skewtent import compare_prefix

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from skewtent import (
     LambdaMu,
+    LapOverflowError,
     TentParams,
     branch,
     compare_prefix,
@@ -216,6 +217,45 @@ def test_lap_submultiplicative():
     for m in range(1, 7):
         for n in range(1, 7):
             assert lap(m + n) <= lap(m) * lap(n)
+
+
+def _oracle_lap_counts(p, n, cap=4_000_000):
+    """The piece-list lap counter: one (u, v) endpoint pair per monotone
+    piece, a piece splitting where its value interval straddles alpha."""
+    pieces = [(0.0, p.beta), (p.beta, 0.0)]
+    counts = [2]
+    for _ in range(n - 1):
+        nxt = []
+        for (u, v) in pieces:
+            lo, hi = (u, v) if u <= v else (v, u)
+            if lo < p.alpha < hi:
+                nxt.append((tent_eval(p, u), p.beta))
+                nxt.append((p.beta, tent_eval(p, v)))
+            else:
+                nxt.append((tent_eval(p, u), tent_eval(p, v)))
+        pieces = nxt
+        counts.append(len(pieces))
+        if len(pieces) > cap:
+            raise LapOverflowError(f"lap count {len(pieces)} exceeds cap {cap}")
+    return counts
+
+
+@given(st.floats(0.5, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(1, 14))
+@settings(max_examples=200, deadline=None)
+def test_lap_counts_match_piece_list_oracle(b, t, n):
+    p = TentParams((1 - b) + t * (2 * b - 1), b)  # a point of U
+    assert lap_counts(p, n) == _oracle_lap_counts(p, n)
+
+
+def test_lap_overflow_at_the_oracle_depth():
+    p = TentParams(0.5, 1.0)  # 2^k laps at depth k: 1024 > 1000 at depth 10
+    with pytest.raises(LapOverflowError) as oracle:
+        _oracle_lap_counts(p, 12, cap=1000)
+    with pytest.raises(LapOverflowError) as merged:
+        lap_counts(p, 12, cap=1000)
+    assert str(merged.value) == str(oracle.value) == "lap count 1024 exceeds cap 1000"
+    assert lap_counts(p, 9, cap=1000)[-1] == 512
 
 
 def test_entropy_constant_slope_oracle():
