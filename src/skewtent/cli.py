@@ -4,58 +4,64 @@ Scalar results are printed as single-line JSON with sorted keys; traces and
 rasters go to CSV or PGM files.  Every run is deterministic given its flags;
 failures exit nonzero after printing one machine-readable error line to
 stderr.
-"""
 
-from __future__ import annotations
+``import skewtent`` loads none of the library's modules, and each command
+imports only the modules it runs, so a process pays for no more than its
+command needs; ``python -X importtime -m skewtent.cli knead ...`` shows
+which modules load.
+"""
 
 import argparse
 import json
 import math
 import sys
-from fractions import Fraction
-
-from . import algebraic, curves, symbolic, tentmap, theta
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
-def _spec_from_args(args) -> theta.ThetaSpec:
+def _spec_from_args(args):
+    from .symbolic import parse_seq
+    from .theta import ThetaSpec, exceptional_spec, thex_spec
     if getattr(args, "preset", None) == "thex":
-        return curves.thex_spec()
+        return thex_spec()
     if getattr(args, "preset", None) == "exceptional":
-        return curves.exceptional_spec()
+        return exceptional_spec()
     if getattr(args, "seq", None):
-        return theta.ThetaSpec.from_seq(symbolic.parse_seq(args.seq))
+        return ThetaSpec.from_seq(parse_seq(args.seq))
     if getattr(args, "gaps", None):
-        return theta.ThetaSpec.from_text(args.gaps)
+        return ThetaSpec.from_text(args.gaps)
     raise ValueError("provide --seq, --gaps or a preset")
 
 
-def _kneading_word(text: str) -> symbolic.KneadingSeq:
-    m = symbolic.parse_seq(text)
-    if not symbolic.is_maximal(m):
+def _kneading_word(text: str):
+    from .symbolic import NO, in_class_M, is_maximal, parse_seq
+    m = parse_seq(text)
+    if not is_maximal(m):
         raise ValueError(f"{text} is not maximal, so it is not a kneading sequence")
-    if symbolic.in_class_M(m) == symbolic.NO:
+    if in_class_M(m) == NO:
         raise ValueError(f"{text} is maximal but in_class_M says no: not a kneading sequence")
     return m
 
 
 def _maybe_exact(x):
+    from fractions import Fraction
     return str(x) if isinstance(x, Fraction) else None
 
 
 def cmd_knead(args) -> None:
+    from .tentmap import TentParams, kneading_prefix
     if not 0 <= args.eps_c < 1:
         raise ValueError(f"--eps-c must lie in [0, 1), got {args.eps_c}")
-    p = tentmap.TentParams(args.alpha, args.beta)
-    print("".join(tentmap.kneading_prefix(p, args.depth, eps_c=args.eps_c)))
+    p = TentParams(args.alpha, args.beta)
+    print("".join(kneading_prefix(p, args.depth, eps_c=args.eps_c)))
 
 
 def cmd_theta(args) -> None:
+    from .theta import theta_eval
     spec = _spec_from_args(args)
-    tv = theta.theta_eval(spec, args.alpha, args.beta, tol=args.tol)
+    tv = theta_eval(spec, args.alpha, args.beta, tol=args.tol)
     _emit({
         "alpha": args.alpha,
         "beta": args.beta,
@@ -67,26 +73,29 @@ def cmd_theta(args) -> None:
 
 
 def cmd_grad(args) -> None:
+    from .theta import theta_grad
     spec = _spec_from_args(args)
-    da, db = theta.theta_grad(spec, args.alpha, args.beta)
+    da, db = theta_grad(spec, args.alpha, args.beta)
     _emit({"alpha": args.alpha, "beta": args.beta, "d_alpha": da, "d_beta": db})
 
 
 def cmd_hessian(args) -> None:
+    from .theta import theta_hessian
     spec = _spec_from_args(args)
-    q = theta.theta_hessian(spec, args.alpha, args.beta)
+    q = theta_hessian(spec, args.alpha, args.beta)
     _emit({"alpha": args.alpha, "beta": args.beta, "a": q.a, "b": q.b, "c": q.c})
 
 
 def cmd_isentrope(args) -> None:
+    from .curves import trace_csv, trace_isentrope
     if args.tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     m = _kneading_word(args.seq)
     n = args.steps
     alphas = [args.alpha_from + (args.alpha_to - args.alpha_from) * i / (n - 1) for i in range(n)] \
         if n > 1 else [args.alpha_from]
-    points = curves.trace_isentrope(m, alphas, tol=args.tol)
-    text = curves.trace_csv(points)
+    points = trace_isentrope(m, alphas, tol=args.tol)
+    text = trace_csv(points)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -95,12 +104,15 @@ def cmd_isentrope(args) -> None:
 
 
 def cmd_diagonal(args) -> None:
-    _kneading_word(args.seq)
-    poly = algebraic.compose_branch_condition(args.seq)
-    roots = algebraic.diagonal_critical_points(poly)
+    from .algebraic import compose_branch_condition, diagonal_critical_points, slope_at_diagonal
+    if not _kneading_word(args.seq).is_finite:
+        raise ValueError(f"{args.seq} is periodic: diagonal needs a finite, C-terminated word "
+                         "such as RLC")
+    poly = compose_branch_condition(args.seq)
+    roots = diagonal_critical_points(poly)
     cands = []
     for b0 in roots:
-        (one, other), quad = algebraic.slope_at_diagonal(poly, b0)
+        (one, other), quad = slope_at_diagonal(poly, b0)
         cands.append({
             "beta0": float(b0),
             "beta0_exact": _maybe_exact(b0),
@@ -112,11 +124,12 @@ def cmd_diagonal(args) -> None:
 
 
 def cmd_counterexample(args) -> None:
+    from .curves import THEX_ALPHA0, THEX_BETAS, counterexample_scan
     spec = _spec_from_args(args)
-    alpha0 = args.alpha0 if args.alpha0 is not None else curves.THEX_ALPHA0
-    beta_lo = args.beta_lo if args.beta_lo is not None else curves.THEX_BETAS[0]
-    beta_hi = args.beta_hi if args.beta_hi is not None else curves.THEX_BETAS[-1]
-    roots = curves.counterexample_scan(spec, alpha0, beta_lo, beta_hi, samples=args.samples)
+    alpha0 = args.alpha0 if args.alpha0 is not None else THEX_ALPHA0
+    beta_lo = args.beta_lo if args.beta_lo is not None else THEX_BETAS[0]
+    beta_hi = args.beta_hi if args.beta_hi is not None else THEX_BETAS[-1]
+    roots = counterexample_scan(spec, alpha0, beta_lo, beta_hi, samples=args.samples)
     _emit({
         "alpha0": alpha0,
         "beta_lo": beta_lo,
@@ -127,6 +140,7 @@ def cmd_counterexample(args) -> None:
 
 
 def cmd_raster(args) -> None:
+    from .curves import KneadingClassField, ThetaSignField, ThetaValueField, raster, write_csv, write_pgm
     window = tuple(float(t) for t in args.window.split(","))
     if len(window) != 4 or not all(map(math.isfinite, window)):
         raise ValueError("--window needs four finite numbers a0,a1,b0,b1")
@@ -135,27 +149,27 @@ def cmd_raster(args) -> None:
     except ValueError:
         raise ValueError(f"--size needs WIDTHxHEIGHT, got {args.size!r}") from None
     if args.field == "kneading_class":
-        field = curves.KneadingClassField(args.depth)
+        field = KneadingClassField(args.depth)
     else:
         spec = _spec_from_args(args)
-        field = curves.ThetaValueField(spec) if args.field == "theta_value" \
-            else curves.ThetaSignField(spec)
-    grid = curves.raster(field, window, width, height)
+        field = ThetaValueField(spec) if args.field == "theta_value" else ThetaSignField(spec)
+    grid = raster(field, window, width, height)
     if args.format == "csv":
         out = args.out if args.out.endswith(".csv") else args.out + ".csv"
-        curves.write_csv(grid, out)
+        write_csv(grid, out)
         _emit({"csv": out, "width": width, "height": height})
     else:
         out = args.out if args.out.endswith(".pgm") else args.out + ".pgm"
-        sidecar = curves.write_pgm(grid, out)
+        sidecar = write_pgm(grid, out)
         _emit({"pgm": out, "sidecar": out[: -len(".pgm")] + ".json",
                "min": sidecar["min"], "max": sidecar["max"]})
 
 
 def cmd_entropy(args) -> None:
-    p = tentmap.TentParams(args.alpha, args.beta)
+    from .tentmap import TentParams, entropy_lap
+    p = TentParams(args.alpha, args.beta)
     _emit({"alpha": args.alpha, "beta": args.beta, "depth": args.depth,
-           "entropy_nats": tentmap.entropy_lap(p, args.depth)})
+           "entropy_nats": entropy_lap(p, args.depth)})
 
 
 def build_parser() -> argparse.ArgumentParser:

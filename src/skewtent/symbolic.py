@@ -238,15 +238,18 @@ def shift(a: KneadingSeq, k: int) -> KneadingSeq:
 
 
 def is_maximal(a: KneadingSeq) -> bool:
-    """True when a dominates every shift of itself in the parity order."""
+    """True when a dominates every shift of itself in the parity order.
+
+    Shift n is the slice s[n:] of one prefix s of a, long enough that the
+    slice still holds the comparison bound of ``compare``; shifting to the
+    C leaves the word C."""
     if a.is_finite:
         top = a.finite_length
+        s = a.text(top)
     else:
         top = len(a.pre) + 2 * len(a.period)
-    for n in range(1, top + 1):
-        if compare(a, shift(a, n)) < 0:
-            return False
-    return True
+        s = a.text(2 * top + 1)
+    return all(_parity_order(s, s[n:] or C) >= 0 for n in range(1, top + 1))
 
 
 # -- star product ----------------------------------------------------------

@@ -93,6 +93,27 @@ class ThetaSpec:
         return self.gaps.to_kneading()
 
 
+# given without a defining property in the source material; demo preset only
+EXCEPTIONAL_DIAGONAL_BETA = 0.99179142171225
+
+
+def thex_spec() -> ThetaSpec:
+    """Gap data of the bundled counterexample sequence: first gap 6, then
+    alternating 5 and 0 for twenty-three pairs, R^inf tail."""
+    gaps = [6]
+    for _ in range(23):
+        gaps.extend((5, 0))
+    return ThetaSpec.from_text("gaps=" + ",".join(map(str, gaps)) + ";tail=R")
+
+
+def exceptional_spec(depth: int = 48) -> ThetaSpec:
+    """Demo spec built from the kneading data at the exceptional diagonal
+    parameter; useful for level-set rasters around that point."""
+    from .tentmap import TentParams, kneading_prefix  # only this preset needs an orbit
+    p = TentParams(0.5, EXCEPTIONAL_DIAGONAL_BETA)
+    return ThetaSpec.from_kneading_prefix(kneading_prefix(p, depth))
+
+
 @dataclass(frozen=True)
 class ThetaValue:
     value: float

@@ -2,6 +2,7 @@
 error handling."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -201,6 +202,7 @@ def test_error_is_machine_readable():
       "--tol", "0"], "--tol must be positive"),
     (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "2",
       "--tol", "-1"], "--tol must be positive"),
+    (["diagonal", "--seq", "RL(R)"], "needs a finite, C-terminated word"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)
@@ -253,9 +255,67 @@ def test_bad_sequence_text():
     assert "parse" in json.loads(err)["error"]
 
 
+# Runs one command through ``main`` (a bare ``import skewtent`` for no
+# arguments) and prints whether numpy and which skewtent modules loaded.
+IMPORT_PROBE = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv:
+    from skewtent.cli import main
+    main(argv)
+else:
+    import skewtent
+print(json.dumps(["numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("skewtent."))]))
+"""
+
+POINT = ["--alpha", "0.6", "--beta", "0.8"]
+SPECS = [["--seq", "RLC"], ["--gaps", "gaps=6,5,0;tail=R"], ["--preset", "thex"],
+         ["--preset", "exceptional"]]
+
+# the library modules each command may load (``cli`` itself aside)
+IMPORT_CASES = [
+    ([], set()),
+    (["knead", *POINT], {"symbolic", "tentmap"}),
+    (["entropy", *POINT], {"symbolic", "tentmap"}),
+    *[([cmd, *spec, *POINT], {"symbolic", "tentmap", "theta"})
+      for cmd in ("theta", "grad", "hessian") for spec in SPECS],
+    (["diagonal", "--seq", "RLC"], {"symbolic", "theta", "algebraic"}),
+]
+
+
 def test_import_leaves_numpy_out():
-    # numpy would add about 12 MB of RSS and 165 ms of start-up to every run
-    code = "import sys, skewtent, skewtent.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    # numpy would add about 12 MB of RSS and 165 ms of start-up to every run;
+    # each library module a command does not run costs a scalar command's
+    # process a few ms of import
+    for argv, allowed in IMPORT_CASES:
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], env=_src_env(),
+                             capture_output=True, text=True, check=True)
+        numpy, modules = json.loads(out.stdout.splitlines()[-1])
+        assert not numpy, argv
+        assert {m.split(".")[1] for m in modules} - {"cli"} <= allowed, (argv, modules)
+
+
+# SHA-256 of ``--help`` at COLUMNS=80, top parser first, taken before the
+# command modules were imported lazily: moving imports leaves the parser as
+# it was.
+HELP_SHA256 = {
+    "": "f7a463b6d304340fbb89c378ef9ebdef44784ee6acda54cfe77a820b6809aba4",
+    "knead": "904534b9678e0db7255ec9f413c762a60850cd8134142e5241002fcb1004f039",
+    "theta": "f9aec0f4415fb77ad95c8f7f1a15dba5656d57e9bc426a80159340d5907a56a3",
+    "grad": "7073243780116665879f1610f246ddee731aaae6e5f230305bd9be30f814cc89",
+    "hessian": "a5cef466a6165f7bcaeeae31e64ec4fb83d0d6e44fac02940650fd7bc3e31dc8",
+    "isentrope": "e4127e39902a627c4b666589e62d268a1a84cef67593a101746679c371fadf9f",
+    "diagonal": "d5902daa83e2897919e21cc27c79aaf4edd17229510f5772ca0f58a76f8795fa",
+    "counterexample": "67a95be831777182e740a02488940dc6bae9fdd6cecc10d7cef40c57f41728c7",
+    "raster": "2c2d2faed1721089282faa685a0e02cc1b0c4395fccdce2cc365533bcacef7f6",
+    "entropy": "472c2afd61d1951f436071eb1dd13f4412c723f656032603a0c6d3188cdfe792",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="digests of the help text as CPython 3.11's argparse lays it out")
+@pytest.mark.parametrize("command", list(HELP_SHA256))
+def test_help_text_is_pinned(command):
+    done = subprocess.run([sys.executable, "-m", "skewtent.cli", *command.split(), "--help"],
+                          env=dict(_src_env(), COLUMNS="80"), capture_output=True, check=True)
+    assert hashlib.sha256(done.stdout).hexdigest() == HELP_SHA256[command]
