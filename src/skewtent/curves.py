@@ -24,7 +24,7 @@ from .symbolic import (
 )
 from .tentmap import TentParams, kneading_prefix
 from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval
-from .theta import EXCEPTIONAL_DIAGONAL_BETA, exceptional_spec, thex_spec  # noqa: F401  (presets)
+from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
 

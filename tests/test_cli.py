@@ -255,14 +255,17 @@ def test_bad_sequence_text():
     assert "parse" in json.loads(err)["error"]
 
 
-# Runs one command through ``main`` (a bare ``import skewtent`` for no
-# arguments) and prints whether numpy and which skewtent modules loaded.
+# Runs one command through ``main`` (a bare ``import skewtent`` for an empty
+# list, every module of the library for ``None``) and prints whether numpy and
+# which skewtent modules loaded.
 IMPORT_PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
 if argv:
     from skewtent.cli import main
     main(argv)
+elif argv is None:
+    import skewtent.algebraic, skewtent.cli, skewtent.curves
 else:
     import skewtent
 print(json.dumps(["numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("skewtent."))]))
@@ -271,28 +274,35 @@ print(json.dumps(["numpy" in sys.modules, sorted(m for m in sys.modules if m.sta
 POINT = ["--alpha", "0.6", "--beta", "0.8"]
 SPECS = [["--seq", "RLC"], ["--gaps", "gaps=6,5,0;tail=R"], ["--preset", "thex"],
          ["--preset", "exceptional"]]
+CURVES = {"symbolic", "tentmap", "theta", "curves"}
 
-# the library modules each command may load (``cli`` itself aside)
+# the library modules each command loads (``cli`` itself aside)
 IMPORT_CASES = [
     ([], set()),
+    (None, {"symbolic", "tentmap", "theta", "algebraic", "curves"}),
     (["knead", *POINT], {"symbolic", "tentmap"}),
     (["entropy", *POINT], {"symbolic", "tentmap"}),
-    *[([cmd, *spec, *POINT], {"symbolic", "tentmap", "theta"})
+    *[([cmd, *spec, *POINT], {"symbolic", "theta"} | ({"tentmap"} if "exceptional" in spec else set()))
       for cmd in ("theta", "grad", "hessian") for spec in SPECS],
     (["diagonal", "--seq", "RLC"], {"symbolic", "theta", "algebraic"}),
+    (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "2"], CURVES),
+    (["counterexample", "--seq", "RLC", "--alpha0", "0.6", "--beta-lo", "0.7", "--beta-hi", "0.95",
+      "--samples", "8"], CURVES),
 ]
 
 
-def test_import_leaves_numpy_out():
+def test_import_leaves_numpy_out(tmp_path):
     # numpy would add about 12 MB of RSS and 165 ms of start-up to every run;
     # each library module a command does not run costs a scalar command's
     # process a few ms of import
-    for argv, allowed in IMPORT_CASES:
+    raster = ["raster", "--field", "kneading_class", "--window", "0.5,0.6,0.7,0.8", "--size", "2x2",
+              "--out", str(tmp_path / "k")]
+    for argv, loaded in [*IMPORT_CASES, (raster, CURVES)]:
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], env=_src_env(),
                              capture_output=True, text=True, check=True)
         numpy, modules = json.loads(out.stdout.splitlines()[-1])
         assert not numpy, argv
-        assert {m.split(".")[1] for m in modules} - {"cli"} <= allowed, (argv, modules)
+        assert {m.split(".")[1] for m in modules} - {"cli"} == loaded, (argv, modules)
 
 
 # SHA-256 of ``--help`` at COLUMNS=80, top parser first, taken before the
