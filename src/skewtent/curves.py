@@ -22,8 +22,8 @@ from .symbolic import (
     RL_INFINITY,
     compare_prefix,
 )
-from .tentmap import TentParams, kneading_prefix
-from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval
+from .tentmap import TentParams, kneading_prefix, kneading_prefix_at
+from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -153,6 +153,8 @@ def counterexample_scan(
     orbit by about e^(depth * entropy), which must remain small against the
     orbit scale for the equal-within-depth label.
     """
+    if not beta_lo < beta_hi:
+        raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
     target = spec.to_kneading()
     ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
     roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts)
@@ -215,10 +217,11 @@ class RasterGrid:
 def raster(field, window, width: int, height: int) -> RasterGrid:
     """Evaluate a field on an inclusive grid over window = (a0, a1, b0, b1).
 
-    Theta fields emit NaN where the convergence guard refuses evaluation;
-    the kneading-class field emits -1 outside U and otherwise an integer id
-    assigned per distinct prefix in scan order.  The field's pixel loop is
-    chosen once per raster.
+    Theta fields run one ``theta_row`` per row and emit NaN where the
+    convergence guard refuses evaluation or beta = 0; the kneading-class
+    field emits -1 outside U and otherwise an integer id assigned per
+    distinct prefix in scan order, building no ``TentParams`` per pixel.
+    The field's pixel loop is chosen once per raster.
     """
     a0, a1, b0, b1 = window
     if width < 2 or height < 2:
@@ -232,22 +235,21 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     if isinstance(field, (ThetaValueField, ThetaSignField)):
         spec, sign = field.spec, isinstance(field, ThetaSignField)
         for b in betas:
-            for a in alphas:
-                try:
-                    v = theta_eval(spec, a, b).value
-                except (ConvergenceError, ZeroDivisionError):
-                    values.append(NAN)
-                    continue
-                values.append((0.0 if v == 0 else math.copysign(1.0, v)) if sign else v)
+            try:
+                row = theta_row(spec, alphas, b)
+            except ZeroDivisionError:  # beta = 0, where the series is undefined
+                values.extend([NAN] * width)
+                continue
+            values.extend([NAN if type(v := p[0]) is str else v if not sign
+                           else 0.0 if v == 0 else math.copysign(1.0, v) for p in row])
     elif isinstance(field, KneadingClassField):
         class_ids: dict[str, int] = {}
         for b in betas:
             for a in alphas:
-                p = TentParams(a, b) if 0 < a < 1 and 0 < b <= 1 else None
-                if p is None or not p.in_u:
+                if not (2 * b > 1 and b <= 1 and 1 - b < a < b):  # TentParams(a, b).in_u
                     values.append(-1.0)
                     continue
-                key = "".join(kneading_prefix(p, field.depth))
+                key = "".join(kneading_prefix_at(a, b, field.depth))
                 values.append(float(class_ids.setdefault(key, len(class_ids))))
     else:
         raise TypeError(f"unknown raster field {field!r}")

@@ -90,8 +90,14 @@ def extended_itinerary(p: TentParams, x, n: int, eps_c=0) -> list[str]:
 
 def kneading_prefix(p: TentParams, n: int, eps_c=0) -> list[str]:
     """Itinerary of the critical value beta, cut after the first C."""
+    return kneading_prefix_at(p.alpha, p.beta, n, eps_c)
+
+
+def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
+    """``kneading_prefix`` at the turning point (alpha, beta), which is not
+    validated: callers check it, or the orbit check below refuses it."""
     syms: list[str] = []
-    alpha, x = p.alpha, p.beta
+    x = beta
     lam, mu = x / alpha, x / (1 - alpha)  # the slopes of tent_eval, inlined below
     for _ in range(n):
         if abs(x - alpha) <= eps_c:

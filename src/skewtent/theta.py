@@ -3,7 +3,9 @@ with x = (alpha-1)/beta and y = alpha/beta, built from the gap structure of
 a kneading sequence.  It vanishes on the equi-kneading curve of its sequence
 (and possibly elsewhere, which is the interesting part).
 
-Value, gradient and Hessian share one engine.  The sum S is a Horner fold
+Value, gradient and Hessian share one engine, ``theta_row``: the fold runs
+over a row of alphas at one beta, and ``theta_eval`` is a one-point row.
+The sum S is a Horner fold
 acc -> x y^{m_k} (1 + acc) over the gaps, last to first, started from the
 periodic tail T.  The tail solves the fixed point T = a + rho T, where a is
 one fold over the period and rho = x^r y^s, so T = a / (1 - rho) and no
@@ -78,9 +80,9 @@ class ThetaSpec:
     @cached_property
     def _plan(self) -> tuple:
         """Head and period gaps in fold order (last first), the distinct gaps
-        ascending, and the period's length r and gap sum s (rho = x^r y^s):
-        what every evaluation folds over, computed once per spec."""
-        return _fold_plan(self.gaps.head, self.gaps.period)
+        ascending, the period's length r and gap sum s (rho = x^r y^s), m1
+        and the term count: what every evaluation needs, made once per spec."""
+        return _fold_plan(self.gaps.head, self.gaps.period, self.gaps.m1)
 
     def cum(self, k: int) -> int:
         return self.gaps.cum(k)
@@ -154,8 +156,9 @@ def _step2(u, g, acc):
     return (u * p, u * q, u * w, u * (q + k + kk), u * (g * q + m + km), u * (g * (w + m) + mm))
 
 
-def _fold_plan(head, period):
-    return head[::-1], period[::-1], sorted(set(head + period)), len(period), sum(period)
+def _fold_plan(head, period, m1):
+    return (head[::-1], period[::-1], sorted(set(head + period)), len(period), sum(period), m1,
+            len(head) + len(period))
 
 
 # each step with the moments of an empty sum
@@ -186,65 +189,75 @@ def _fixed_point_tail(a, rho, c, r: int, s: int):
             c * (a[5] + s * st * t + 2 * st * tm))
 
 
-def _setup(spec: ThetaSpec, alpha, beta, min_head: int = 0):
-    """The convergence guards, then (x, y, plan, rho, c, us) with
-    c = 1 / (1 - rho) and us[g] = x y^g for each gap g, unused entries 0.
-    ``min_head`` unrolls that many period copies into the head."""
+def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, min_head: int = 0,
+              order: int = 0) -> list:
+    """The series at each alpha of a row at one beta: the convergence
+    guards, then the fold.  An admitted point gives (value, error_bound,
+    terms_used) at order 0, or (x, y, moments) at order 1 or 2: S, then
+    S_k = x dS/dx and S_m = y dS/dy, then S_kk, S_km and S_mm, the series
+    with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2.  A
+    refused point is not raised: it gives its message as a format string
+    and arguments.  The error bound covers roundoff only, as the tail is
+    summed exactly; a bound above ``tol`` refuses the point.  ``min_head``
+    unrolls that many period copies into the head (the value must not move).
+    """
     g = spec.gaps
-    x = (alpha - 1) / beta
-    y = alpha / beta
-    # dominating term ratio |x| max(1, y)^{m1}
-    eta = abs(x) * y ** g.m1 if y > 1 else abs(x)
-    if eta >= 0.999:
-        raise ConvergenceError(
-            f"series ratio {float(eta):.6f} >= 0.999 at alpha={float(alpha)}, beta={float(beta)}"
-        )
-    plan = spec._plan if min_head <= 0 else _fold_plan(g.head + g.period * min_head, g.period)
-    _, _, distinct, r, s = plan
-    rho = x ** r * y ** s
-    if abs(rho) >= 1:
-        raise ConvergenceError("periodic tail ratio has modulus >= 1")
-    c = 1 / (1 - rho)
-    us = [0] * (distinct[-1] + 1)
-    for gap in distinct:
-        us[gap] = x * y ** gap
-    return x, y, plan, rho, c, us
+    plan = spec._plan if min_head <= 0 else _fold_plan(g.head + g.period * min_head, g.period, g.m1)
+    head_rev, period_rev, distinct, r, s, m1, terms = plan
+    row = []
+    for alpha in alphas:
+        x = (alpha - 1) / beta
+        y = alpha / beta
+        # dominating term ratio |x| max(1, y)^{m1}
+        eta = abs(x) * y ** m1 if y > 1 else abs(x)
+        if eta >= 0.999:
+            row.append(("series ratio {:.6f} >= 0.999 at alpha={}, beta={}",
+                        float(eta), float(alpha), float(beta)))
+            continue
+        rho = x ** r * y ** s
+        if abs(rho) >= 1:
+            row.append(("periodic tail ratio has modulus >= 1",))
+            continue
+        c = 1 / (1 - rho)
+        us = [0] * (distinct[-1] + 1)  # us[g] = x y^g for each gap g, unused entries 0
+        for gap in distinct:
+            us[gap] = x * y ** gap
+        if order:
+            step, zero = _STEPS[order]
+            tail = _fixed_point_tail(_fold(step, us, period_rev, zero), rho, c, r, s)
+            row.append((x, y, _fold(step, us, head_rev, tail)))
+            continue
+        mags = us[:]  # mags[g] = |us[g]|
+        for gap in distinct:
+            mags[gap] = abs(float(us[gap]))
+        acc, mag = 0, 0.0
+        for gap in period_rev:
+            acc = us[gap] * (1 + acc)
+            mag = mags[gap] * (1 + mag)
+        acc = c * acc
+        mag = 3 * abs(float(c)) * mag  # the tail's first period, weighted 3 |1/(1 - rho)|
+        for gap in head_rev:
+            acc = us[gap] * (1 + acc)
+            mag = mags[gap] * (1 + mag)
+        bound = 8e-16 * (mag + 1.0)
+        if bound > tol:
+            row.append(("roundoff bound {:.2e} exceeds requested tol {:.2e}", bound, tol))
+        else:
+            row.append((1 - beta + acc, bound, terms))
+    return row
 
 
-def _moments(spec: ThetaSpec, alpha, beta, order: int):
-    """(x, y, moments) for order 1 or 2.  The moments are S, then
-    S_k = x dS/dx and S_m = y dS/dy, then S_kk, S_km and S_mm: the series
-    with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2."""
-    x, y, (head_rev, period_rev, _, r, s), rho, c, us = _setup(spec, alpha, beta)
-    step, zero = _STEPS[order]
-    tail = _fixed_point_tail(_fold(step, us, period_rev, zero), rho, c, r, s)
-    return x, y, _fold(step, us, head_rev, tail)
+def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12, min_head: int = 0):
+    """One-point ``theta_row``; a refused point raises ``ConvergenceError``."""
+    (point,) = theta_row(spec, (alpha,), beta, tol, min_head, order)
+    if type(point[0]) is str:
+        raise ConvergenceError(point[0].format(*point[1:]))
+    return point
 
 
 def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12, min_head: int = 0) -> ThetaValue:
-    """Series value with a closed-form tail.
-
-    The reported error bound covers roundoff only, since the tail is summed
-    exactly; it is far below ``tol`` everywhere the convergence guard admits.
-    ``min_head`` unrolls extra period copies into the head (used to verify
-    the bound, the value must not move).
-    """
-    _, _, (head_rev, period_rev, _, r, _), _, c, us = _setup(spec, alpha, beta, min_head)
-    mags = [abs(float(u)) for u in us]
-    acc, mag = 0, 0.0
-    for gap in period_rev:
-        acc = us[gap] * (1 + acc)
-        mag = mags[gap] * (1 + mag)
-    acc = c * acc
-    mag = 3 * abs(float(c)) * mag  # the tail's first period, weighted 3 |1/(1 - rho)|
-    for gap in head_rev:
-        acc = us[gap] * (1 + acc)
-        mag = mags[gap] * (1 + mag)
-    value = 1 - beta + acc
-    bound = 8e-16 * (mag + 1.0)
-    if bound > tol:
-        raise ConvergenceError(f"roundoff bound {bound:.2e} exceeds requested tol {tol:.2e}")
-    return ThetaValue(value, bound, len(head_rev) + r)
+    """Series value with a closed-form tail: a one-point ``theta_row``."""
+    return ThetaValue(*_point(spec, alpha, beta, 0, tol, min_head))
 
 
 def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
@@ -270,7 +283,7 @@ def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
 
 def theta_grad(spec: ThetaSpec, alpha, beta):
     """First partials (d_alpha, d_beta) from the first Euler moments."""
-    x, y, (_, k, m) = _moments(spec, alpha, beta, 1)
+    x, y, (_, k, m) = _point(spec, alpha, beta, 1)
     d_alpha = (k / x + m / y) / beta
     d_beta = -1 - (k + m) / beta
     return d_alpha, d_beta
@@ -279,7 +292,7 @@ def theta_grad(spec: ThetaSpec, alpha, beta):
 def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
     """Second differential as a quadratic form; the mixed partial is
     computed once, so symmetry holds by construction."""
-    x, y, (_, k, m, kk, km, mm) = _moments(spec, alpha, beta, 2)
+    x, y, (_, k, m, kk, km, mm) = _point(spec, alpha, beta, 2)
     b2 = beta * beta
     daa = ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2
     dab = -((kk + km) / x + (km + mm) / y) / b2
@@ -303,7 +316,8 @@ def m1_first_return(alpha, beta, cap: int = 100_000) -> int:
 
 
 def sign_change_roots(f, xs) -> list:
-    """Roots of f located by sign changes between consecutive nodes xs.
+    """Roots of f located by sign changes between consecutive nodes xs,
+    which must increase: a bracket with descending ends is not bisected.
 
     A node where f is exactly 0 is returned as is; pairs with a NaN end
     are skipped.  A sign change is bisected until its bracket ends are

@@ -203,6 +203,8 @@ def test_error_is_machine_readable():
     (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "2",
       "--tol", "-1"], "--tol must be positive"),
     (["diagonal", "--seq", "RL(R)"], "needs a finite, C-terminated word"),
+    (["counterexample", "--preset", "thex", "--beta-lo", "0.995", "--beta-hi", "0.535"],
+     "need beta_lo < beta_hi"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)

@@ -1,7 +1,10 @@
 """The Theta series: values, closed-form tails, derivatives, partial sums,
 the orbit recursion and the first-return estimate."""
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -26,6 +29,7 @@ from skewtent import (
     theta_partial_sum,
     thex_spec,
 )
+from skewtent.cli import main as cli_main
 from skewtent.theta import sign_change_roots
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
@@ -294,6 +298,31 @@ def test_convergence_guard():
         theta_eval(RLC, 0.2, 0.75)  # |alpha - 1| / beta > 1
     with pytest.raises(ConvergenceError):
         theta_eval(RLC, 0.2501, 0.75)  # ratio above the 0.999 cutoff
+
+
+# each guard's refusal text, through theta_eval and through the CLI's stderr
+REFUSALS = [
+    (["--preset", "thex", "--alpha", "0.2", "--beta", "0.6"],
+     "series ratio 1.333333 >= 0.999 at alpha=0.2, beta=0.6"),
+    (["--preset", "thex", "--alpha", "0.4875", "--beta", "0.7", "--tol", "1e-20"],
+     "roundoff bound 8.82e-16 exceeds requested tol 1.00e-20"),
+    (["--seq", "RLLRC", "--alpha", "0.98", "--beta", "-0.2"],
+     "periodic tail ratio has modulus >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
+def test_refusal_texts_are_pinned(argv, message):
+    opts = dict(zip(argv[::2], argv[1::2]))
+    spec = THEX if opts.get("--preset") == "thex" else ThetaSpec.from_seq(parse_seq(opts["--seq"]))
+    with pytest.raises(ConvergenceError) as exc:
+        theta_eval(spec, float(opts["--alpha"]), float(opts["--beta"]),
+                   tol=float(opts.get("--tol", 1e-12)))
+    assert str(exc.value) == message
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli_main(["theta", *argv]) == 1
+    assert err.getvalue() == json.dumps({"error": message, "kind": "ConvergenceError"}) + "\n"
 
 
 def test_evaluation_below_diagonal():
