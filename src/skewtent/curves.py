@@ -20,9 +20,9 @@ from .symbolic import (
     KneadingSeq,
     LESS,
     RL_INFINITY,
-    compare_prefix,
+    _parity_order,
 )
-from .tentmap import TentParams, kneading_prefix, kneading_prefix_at
+from .tentmap import TentParams, kneading_prefix_at
 from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
@@ -65,12 +65,26 @@ def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
         return NAN
 
 
-def _side(alpha: float, beta: float, m: KneadingSeq, depth: int, eps_c=0) -> int:
-    """Parity order of K(alpha, beta) against m on a depth-``depth`` prefix.
-    No symbol past a C-terminated m's own C can change the answer, so the
-    prefix stops there."""
-    n = min(depth, m.finite_length) if m.is_finite else depth
-    return compare_prefix(kneading_prefix(TentParams(alpha, beta), n, eps_c=eps_c), m)
+def _probe(alpha: float, beta: float, target: str, eps_c=0) -> int:
+    """Parity order of the kneading prefix at (alpha, beta), unchecked,
+    against ``target``, m's first symbols as ``m.text(depth)`` spells them.
+    The prefix is as long as the target, which stops at a C-terminated m's
+    own C: no symbol past it can change the answer."""
+    return _parity_order("".join(kneading_prefix_at(alpha, beta, len(target), eps_c)), target)
+
+
+def _side(alpha: float, beta: float, m: KneadingSeq, depth: int) -> int:
+    """Parity order of K(alpha, beta) against m on a depth-``depth`` prefix."""
+    TentParams(alpha, beta)  # raises outside the parameter square
+    return _probe(alpha, beta, m.text(depth))
+
+
+def _spec(m: KneadingSeq) -> ThetaSpec | None:
+    """The spec of m's residuals; RL^inf has no gap data and needs none."""
+    return None if m == RL_INFINITY else ThetaSpec.from_seq(m)
+
+
+_VERIFY_DEPTH = 48
 
 
 def kneading_bisect_beta(
@@ -78,7 +92,7 @@ def kneading_bisect_beta(
     alpha: float,
     tol: float = 1e-12,
     depth: int = 64,
-    verify_depth: int = 48,
+    verify_depth: int = _VERIFY_DEPTH,
 ) -> IsentropePoint:
     """Locate beta with K(alpha, beta) = m by bisection on the kneading order.
 
@@ -88,28 +102,43 @@ def kneading_bisect_beta(
     own length, so no more are computed.  The returned point carries the
     Theta residual of m's spec and a prefix verification at depth
     ``verify_depth``.
+
+    Probes: the bracket ends, one per halving and the verification.
+    (alpha, beta) is checked once, as a ``TentParams`` at the bracket
+    bottom, since every probe lies on the same vertical between it and
+    beta = 1.  A probe computes the kneading prefix at its beta and orders
+    it by parity against m's first symbols, spelled once per call; it reads
+    the same symbols as a ``compare_prefix`` of a ``TentParams`` prefix, so
+    its verdict, and with it the located beta, is the same, and a bad alpha
+    gets the ``TentParams`` refusal.
     """
+    return _bisect(m, _spec(m), alpha, tol, depth, verify_depth)
+
+
+def _bisect(m, spec, alpha, tol, depth, verify_depth) -> IsentropePoint:
+    """``kneading_bisect_beta`` with m's spec made by the caller."""
     if m == RL_INFINITY:
         # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
         return IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m, verify_depth) == EQUAL)
 
-    spec = ThetaSpec.from_seq(m)
     lo = max(1 - alpha, alpha, 0.5) + 1e-9
     hi = 1.0
     if lo >= hi:
         raise BracketError(f"empty beta range at alpha={alpha}")
-    if _side(alpha, lo, m, depth) >= 0:
+    TentParams(alpha, lo)  # the one (alpha, beta) check: every probe lies in [lo, 1]
+    target = m.text(depth)
+    if _probe(alpha, lo, target) >= 0:
         raise BracketError(
             f"no valid bracket at alpha={alpha}: kneading at beta={lo:.6g} is not below target"
         )
-    if _side(alpha, hi, m, depth) < 0:
+    if _probe(alpha, hi, target) < 0:
         raise BracketError(f"no valid bracket at alpha={alpha}: top of range is below target")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent floats: the bracket cannot shrink any further
-        c = _side(alpha, mid, m, depth)
+        c = _probe(alpha, mid, target)
         if c == EQUAL:
             lo = hi = mid
             break
@@ -119,17 +148,29 @@ def kneading_bisect_beta(
             hi = mid
     beta = 0.5 * (lo + hi)
 
-    ok = _side(alpha, beta, m, verify_depth, eps_c=1e-6 if m.is_finite else 0) == EQUAL
+    ok = _probe(alpha, beta, m.text(verify_depth), 1e-6 if m.is_finite else 0) == EQUAL
     return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
 
 def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12, depth: int = 64):
     """Bisect per grid node; failed nodes are reported with beta = NaN
-    rather than aborting the trace."""
+    rather than aborting the trace.
+
+    Each node runs the probes of ``kneading_bisect_beta`` at the default
+    verification depth.  m's spec, which only sets the residuals, is a
+    function of m alone, so it is made once per trace, not once per node:
+    every residual is the same.  A sequence without one fails every node,
+    as each node's ``kneading_bisect_beta`` would; RL^inf needs none and
+    gives its beta = 1 boundary points.
+    """
+    try:
+        spec = _spec(m)
+    except ValueError:
+        return [IsentropePoint(a, NAN, NAN, False) for a in alphas]
     points: list[IsentropePoint] = []
     for a in alphas:
         try:
-            points.append(kneading_bisect_beta(m, a, tol=tol, depth=depth))
+            points.append(_bisect(m, spec, a, tol, depth, _VERIFY_DEPTH))
         except (BracketError, ValueError):
             points.append(IsentropePoint(a, NAN, NAN, False))
     return points
@@ -226,6 +267,8 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     a0, a1, b0, b1 = window
     if width < 2 or height < 2:
         raise ValueError("raster needs width, height >= 2")
+    if not all(map(math.isfinite, window)):
+        raise ValueError(f"window ends must be finite, got {tuple(window)}")
     if a1 <= a0 or b1 <= b0:
         raise ValueError("zero-area window")
 

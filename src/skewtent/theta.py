@@ -17,6 +17,8 @@ Every formula is arithmetic-generic and exact on Fraction inputs.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,8 +210,11 @@ def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, min_head: int =
     for alpha in alphas:
         x = (alpha - 1) / beta
         y = alpha / beta
-        # dominating term ratio |x| max(1, y)^{m1}
-        eta = abs(x) * y ** m1 if y > 1 else abs(x)
+        # dominating term ratio |x| max(1, y)^{m1}, infinite past float range
+        try:
+            eta = abs(x) * y ** m1 if y > 1 else abs(x)
+        except OverflowError:
+            eta = math.inf
         if eta >= 0.999:
             row.append(("series ratio {:.6f} >= 0.999 at alpha={}, beta={}",
                         float(eta), float(alpha), float(beta)))
@@ -348,19 +353,31 @@ def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9
 
     Theta vanishes identically on the diagonal, so d_beta = -d_alpha there
     and it suffices to find the root of d_alpha along the diagonal.  Among
-    the sign-change roots, the one consistent with the first-return bracket
-    for the spec's own m1 is returned.
+    the sign-change roots on the grid lo + (hi - lo) i / grid, the one
+    consistent with the first-return bracket (blo, bhi) for the spec's own
+    m1 is returned.  Only the grid nodes from the last one <= blo through
+    the first one >= bhi are evaluated: every node and node pair that can
+    give a root inside the bracket lies among them and is bisected as on
+    the whole grid, so the pick is the whole grid's.  When no root is
+    consistent, the whole grid is searched again to name every root in the
+    refusal.
     """
     m1 = spec.m1
     xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
-    roots = sign_change_roots(lambda b: theta_grad(spec, b, b)[0], xs)
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)
     blo = (m1 - 1) / m1 if m1 > 1 else 0.0
     bhi = (m1 + 2) / (m1 + 3)
-    picks = [b for b in roots if blo < b < bhi]
+
+    def d_alpha(b):
+        return theta_grad(spec, b, b)[0]
+
+    first, last = 0, grid
+    if lo < hi:  # increasing nodes: the last one <= blo through the first one >= bhi
+        first, last = max(bisect_right(xs, blo) - 1, 0), bisect_left(xs, bhi)
+    picks = [b for b in sign_change_roots(d_alpha, xs[first:last + 1]) if blo < b < bhi]
     if not picks:
+        roots = sign_change_roots(d_alpha, xs)
         raise ValueError(f"no diagonal stationary point consistent with m1={m1}; roots={roots}")
     if len(picks) > 1:
         raise ValueError(f"ambiguous diagonal stationary points {picks}")
     return picks[0]
-

@@ -158,6 +158,18 @@ def test_raster_pgm_and_determinism(tmp_path):
     assert (tmp_path / "b.pgm").read_bytes() == first
 
 
+def test_raster_refuses_tiny_beta_pixels(tmp_path):
+    # y^{m1} passes float range at beta = 1e-60: those points are refused
+    # (sentinel pixels), the raster is still written
+    rc, out, err = run_cli(["raster", "--field", "theta_sign", "--preset", "thex",
+                            "--window", "0.1,0.9,1e-60,2e-60", "--size", "4x4",
+                            "--out", str(tmp_path / "r")])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["min"] == json.loads(out)["max"] == 0.0
+    data = (tmp_path / "r.pgm").read_bytes()
+    assert data == b"P5\n4 4\n255\n" + bytes([255] * 16)
+
+
 def test_raster_csv(tmp_path):
     rc, out, _ = run_cli([
         "raster", "--field", "kneading_class", "--depth", "4",
@@ -205,6 +217,9 @@ def test_error_is_machine_readable():
     (["diagonal", "--seq", "RL(R)"], "needs a finite, C-terminated word"),
     (["counterexample", "--preset", "thex", "--beta-lo", "0.995", "--beta-hi", "0.535"],
      "need beta_lo < beta_hi"),
+    (["theta", "--preset", "thex", "--alpha", "0.5", "--beta", "1e-60"], "series ratio inf"),
+    (["raster", "--field", "theta_sign", "--preset", "thex", "--window", "0.9,0.3,0.55,0.99",
+      "--size", "3x3", "--out", "unused"], "zero-area window"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)

@@ -4,7 +4,8 @@ The digests cover every node of isentrope traces over a seeded corpus of
 kneading sequences, every root and label of counterexample scans, and the
 lap counts (or the overflow message) at seeded points of U, so any change
 in a located beta, a residual, a verification verdict, a label or a count
-shows up here.
+shows up here.  One more digest covers the diagonal stationary point (or
+its refusal) over a corpus of words, presets and seeded gap specs.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ from skewtent import (
     TentParams,
     ThetaSpec,
     counterexample_scan,
+    diagonal_stationary_beta,
+    exceptional_spec,
     in_class_M,
     is_maximal,
     lap_counts,
@@ -95,6 +98,38 @@ def _lap_lines():
     return lines
 
 
+def _stationary_cases(seed: int = 5, n_gaps: int = 60):
+    """The trace words, thex and exceptional presets, seeded R^inf-tail gap
+    specs and two gap specs with a second root in the m1 bracket, all on
+    the default grid, then thex on narrowed, reversed, one-node and coarse
+    grids."""
+    cases = [(w, lambda w=w: ThetaSpec.from_seq(parse_seq(w)), ()) for w in _trace_words()]
+    cases += [("thex", thex_spec, ()), ("exceptional", exceptional_spec, ())]
+    rng = random.Random(seed)
+    for _ in range(n_gaps):
+        m1 = rng.randint(1, 9)
+        gaps = [m1] + [rng.randint(0, m1) for _ in range(rng.randint(0, 7))]
+        text = "gaps=" + ",".join(map(str, gaps)) + ";tail=R"
+        cases.append((text, lambda text=text: ThetaSpec.from_text(text), ()))
+    for text in ("gaps=2,1,0,0,1,2;tail=R", "gaps=2,2,2,1,0,2,0;tail=R"):
+        cases.append((text, lambda text=text: ThetaSpec.from_text(text), ()))
+    cases += [("thex", thex_spec, args) for args in
+              [(0.505, 0.84), (0.9, 0.99), (0.8, 0.6), (0.87, 0.85, 4), (0.86, 0.86),
+               (0.505, 0.9985, 7), (0.835, 0.87, 16), (0.8, 0.9, 1), (0.85, 0.95, 2)]]
+    return cases
+
+
+def _stationary_lines():
+    lines = []
+    for name, make, args in _stationary_cases():
+        try:
+            got = repr(diagonal_stationary_beta(make(), *args))
+        except ValueError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{name} {args!r} {got}")
+    return lines
+
+
 def test_trace_nodes_pinned():
     lines = _trace_lines()
     assert len(lines) == 26 * 80
@@ -103,6 +138,13 @@ def test_trace_nodes_pinned():
 
 def test_scan_roots_and_labels_pinned():
     assert _digest(_scan_lines()) == SCAN_DIGEST
+
+
+def test_stationary_points_pinned():
+    lines = _stationary_lines()
+    assert sum("consistent with m1" in line for line in lines) == STATIONARY_NONE
+    assert sum("ambiguous" in line for line in lines) == STATIONARY_AMBIGUOUS
+    assert _digest(lines) == STATIONARY_DIGEST
 
 
 def test_lap_counts_pinned():
@@ -117,3 +159,7 @@ TRACE_DIGEST = "0211e60db9c91a4fe8fb827fdc07c798d92301c6c0e1b50d9ef3a9cf3c4ca552
 SCAN_DIGEST = "518da624231c8e62a4243d73b6d87d904855b184841fca40ac913ff3476af166"
 LAP_DIGEST = "8dd27ce0ce78fbe0191e54f7639927a6a6f347b114fe55d8374e94f30be56133"
 LAP_OVERFLOWS = 258
+# computed by the stationary search that evaluated d_alpha at every grid node
+STATIONARY_DIGEST = "31e54c2296f29a068d4e4b6d259879192ad3f0c6ea65acbb4af786a75c312e70"
+STATIONARY_NONE = 9
+STATIONARY_AMBIGUOUS = 2

@@ -82,6 +82,51 @@ def test_bisect_bracket_sides():
     assert c_lo < 0 < c_hi
 
 
+BAD_ALPHAS = [float("nan"), 0, 1, -0.1, 1.5]
+
+
+def _bisect_refusal(word, alpha):
+    """Type and text of the refusal of kneading_bisect_beta(word, alpha) for
+    an alpha outside (0, 1): the bracket test comes first, then the (alpha,
+    beta) check at the bracket bottom; a word without gap data is refused
+    before either, and RL^inf checks (alpha, 1)."""
+    if word == "RLR(L)":
+        return ValueError, "sequence ends in L^inf, gaps not representable"
+    if word == "R(L)" or math.isnan(alpha):
+        return ValueError, f"alpha must lie in (0,1), got {alpha}"
+    return BracketError, f"empty beta range at alpha={alpha}"
+
+
+@pytest.mark.parametrize("word", ["RLC", "RLLRC", "RLL(RL)", "R(L)", "RLR(L)"])
+@pytest.mark.parametrize("alpha", BAD_ALPHAS)
+def test_bisect_refuses_alpha_outside_unit_interval(word, alpha):
+    kind, text = _bisect_refusal(word, alpha)
+    with pytest.raises(Exception) as exc:
+        kneading_bisect_beta(parse_seq(word), alpha)
+    assert (type(exc.value), str(exc.value)) == (kind, text)
+
+
+@pytest.mark.parametrize("word, beta", [("RLC", 0.7291502622131759), ("RLLRC", 0.8082685109491896),
+                                        ("RLL(RL)", 0.787247517388832), ("R(L)", 1.0),
+                                        ("RLRC", None), ("RLR(L)", None)])
+def test_trace_fails_exactly_at_refused_alphas(word, beta):
+    pts = trace_isentrope(parse_seq(word), BAD_ALPHAS + [0.6])
+    assert len(pts) == len(BAD_ALPHAS) + 1
+    assert all(math.isnan(p.beta) and math.isnan(p.residual_theta) and not p.kneading_ok
+               for p in pts[:-1])
+    if beta is None:
+        assert math.isnan(pts[-1].beta) and not pts[-1].kneading_ok
+    else:
+        assert pts[-1].beta == beta and pts[-1].kneading_ok
+
+
+def test_trace_rl_infinity_gives_boundary_points():
+    pts = trace_isentrope(parse_seq("R(L)"), [0.3, 0.5, 0.7])
+    assert [(p.alpha, p.beta, p.kneading_ok) for p in pts] == [(0.3, 1.0, True), (0.5, 1.0, True),
+                                                               (0.7, 1.0, True)]
+    assert all(math.isnan(p.residual_theta) for p in pts)
+
+
 def test_itinerary_below_curve_is_minus_variant():
     from skewtent import compare_prefix, minus_variant
 
@@ -264,6 +309,27 @@ def test_raster_validation():
         raster(ThetaValueField(spec), (0.5, 0.5, 0.6, 0.7), 8, 8)
     with pytest.raises(ValueError):
         raster(ThetaValueField(spec), (0.4, 0.5, 0.6, 0.7), 1, 8)
+
+
+NAN = float("nan")
+BAD_WINDOWS = [(NAN, 0.9, 0.55, 0.9), (0.3, NAN, 0.55, 0.9), (0.3, 0.9, NAN, 0.9),
+               (0.3, 0.9, 0.55, NAN), (-math.inf, 0.9, 0.55, 0.9), (0.3, 0.9, 0.55, math.inf),
+               (0.9, 0.3, 0.55, 0.9), (0.3, 0.9, 0.9, 0.9)]
+
+
+@pytest.mark.parametrize("field", [ThetaValueField(thex_spec()), ThetaSignField(thex_spec()),
+                                   KneadingClassField(8)], ids=["value", "sign", "class"])
+@pytest.mark.parametrize("window", BAD_WINDOWS)
+def test_raster_refuses_nonfinite_or_empty_window(field, window):
+    expected = "zero-area window" if all(map(math.isfinite, window)) else "must be finite"
+    with pytest.raises(ValueError, match=expected):
+        raster(field, window, 3, 3)
+
+
+def test_raster_refuses_ratio_past_float_range():
+    # y^{m1} overflows a float at beta = 1e-60: an infinite ratio, so NaN
+    g = raster(ThetaValueField(thex_spec()), (0.1, 0.9, 1e-60, 2e-60), 4, 4)
+    assert all(math.isnan(v) for v in g.values)
 
 
 def test_pgm_deterministic(tmp_path):

@@ -308,6 +308,9 @@ REFUSALS = [
      "roundoff bound 8.82e-16 exceeds requested tol 1.00e-20"),
     (["--seq", "RLLRC", "--alpha", "0.98", "--beta", "-0.2"],
      "periodic tail ratio has modulus >= 1"),
+    # y^{m1} past float range counts as an infinite ratio, not an OverflowError
+    (["--preset", "thex", "--alpha", "0.5", "--beta", "1e-60"],
+     "series ratio inf >= 0.999 at alpha=0.5, beta=1e-60"),
 ]
 
 
