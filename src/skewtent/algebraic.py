@@ -260,16 +260,16 @@ def _exact_roots_low_degree(coeffs: Sequence[Fraction]) -> list[Fraction] | None
     return None
 
 
-def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi, grid: int | None = None):
+def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi):
     """Real roots of a univariate polynomial inside the open interval
-    (lo, hi): sign-change bisection on the squarefree part, exact values
-    where the reduced polynomial admits them."""
+    (lo, hi): sign-change bisection on the squarefree part over a grid of
+    64 nodes per coefficient (at least 256), exact values where the reduced
+    polynomial admits them."""
     sf = _squarefree(coeffs)
     exact = _exact_roots_low_degree(sf)
     if exact is not None:
         return sorted(r for r in exact if Fraction(lo) < r < Fraction(hi))
-    if grid is None:
-        grid = 64 * max(4, len(sf))
+    grid = 64 * max(4, len(sf))
     lo_f, hi_f = float(lo), float(hi)
     eps = (hi_f - lo_f) * 1e-12
     xs = [lo_f + eps + (hi_f - lo_f - 2 * eps) * i / grid for i in range(grid + 1)]
@@ -280,7 +280,7 @@ def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi, grid: int | None = No
 # -- diagonal analysis ---------------------------------------------------------
 
 
-def diagonal_critical_points(p: BivarPoly, lo=Fraction(1, 2), hi=Fraction(1)) -> list:
+def diagonal_critical_points(p: BivarPoly) -> list:
     """Roots of (d_alpha p)(a, a) in the open interval (1/2, 1).
 
     These are the candidate diagonal meeting points of the implicit curve.
@@ -290,7 +290,7 @@ def diagonal_critical_points(p: BivarPoly, lo=Fraction(1, 2), hi=Fraction(1)) ->
     if _upoly_trim(diag) != [Fraction(0)]:
         raise ValueError("polynomial does not vanish on the diagonal")
     q = p.partial("alpha").substitute_diagonal()
-    roots = isolate_real_roots(q, lo, hi)
+    roots = isolate_real_roots(q, Fraction(1, 2), Fraction(1))
     if not roots:
         raise ValueError("no diagonal critical points in (1/2, 1)")
     return roots

@@ -73,10 +73,10 @@ def _probe(alpha: float, beta: float, target: str, eps_c=0) -> int:
     return _parity_order("".join(kneading_prefix_at(alpha, beta, len(target), eps_c)), target)
 
 
-def _side(alpha: float, beta: float, m: KneadingSeq, depth: int) -> int:
-    """Parity order of K(alpha, beta) against m on a depth-``depth`` prefix."""
+def _side(alpha: float, beta: float, m: KneadingSeq) -> int:
+    """Parity order of K(alpha, beta) against m on a label-depth prefix."""
     TentParams(alpha, beta)  # raises outside the parameter square
-    return _probe(alpha, beta, m.text(depth))
+    return _probe(alpha, beta, m.text(_LABEL_DEPTH))
 
 
 def _spec(m: KneadingSeq) -> ThetaSpec | None:
@@ -84,49 +84,40 @@ def _spec(m: KneadingSeq) -> ThetaSpec | None:
     return None if m == RL_INFINITY else ThetaSpec.from_seq(m)
 
 
-_VERIFY_DEPTH = 48
+# symbols read by a bisection probe, and by a verification or scan label
+_BISECT_DEPTH = 64
+_LABEL_DEPTH = 48
 
 
-def kneading_bisect_beta(
-    m: KneadingSeq,
-    alpha: float,
-    tol: float = 1e-12,
-    depth: int = 64,
-    verify_depth: int = _VERIFY_DEPTH,
-) -> IsentropePoint:
+def kneading_bisect_beta(m: KneadingSeq, alpha: float, tol: float = 1e-12) -> IsentropePoint:
     """Locate beta with K(alpha, beta) = m by bisection on the kneading order.
 
     The bracket starts at (max(1-alpha, alpha, 1/2), 1) and halves until it
     is no wider than ``tol`` or its ends are adjacent floats.  Comparisons
-    read at most ``depth`` symbols; a C-terminated m is decided within its
-    own length, so no more are computed.  The returned point carries the
-    Theta residual of m's spec and a prefix verification at depth
-    ``verify_depth``.
+    read at most 64 symbols; a C-terminated m is decided within its own
+    length, so no more are computed.  The returned point carries the Theta
+    residual of m's spec and a prefix verification at depth 48.
 
     Probes: the bracket ends, one per halving and the verification.
     (alpha, beta) is checked once, as a ``TentParams`` at the bracket
     bottom, since every probe lies on the same vertical between it and
-    beta = 1.  A probe computes the kneading prefix at its beta and orders
-    it by parity against m's first symbols, spelled once per call; it reads
-    the same symbols as a ``compare_prefix`` of a ``TentParams`` prefix, so
-    its verdict, and with it the located beta, is the same, and a bad alpha
-    gets the ``TentParams`` refusal.
+    beta = 1; a bad alpha gets the ``TentParams`` refusal.
     """
-    return _bisect(m, _spec(m), alpha, tol, depth, verify_depth)
+    return _bisect(m, _spec(m), alpha, tol)
 
 
-def _bisect(m, spec, alpha, tol, depth, verify_depth) -> IsentropePoint:
+def _bisect(m, spec, alpha, tol) -> IsentropePoint:
     """``kneading_bisect_beta`` with m's spec made by the caller."""
     if m == RL_INFINITY:
         # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
-        return IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m, verify_depth) == EQUAL)
+        return IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m) == EQUAL)
 
     lo = max(1 - alpha, alpha, 0.5) + 1e-9
     hi = 1.0
     if lo >= hi:
         raise BracketError(f"empty beta range at alpha={alpha}")
     TentParams(alpha, lo)  # the one (alpha, beta) check: every probe lies in [lo, 1]
-    target = m.text(depth)
+    target = m.text(_BISECT_DEPTH)
     if _probe(alpha, lo, target) >= 0:
         raise BracketError(
             f"no valid bracket at alpha={alpha}: kneading at beta={lo:.6g} is not below target"
@@ -148,19 +139,17 @@ def _bisect(m, spec, alpha, tol, depth, verify_depth) -> IsentropePoint:
             hi = mid
     beta = 0.5 * (lo + hi)
 
-    ok = _probe(alpha, beta, m.text(verify_depth), 1e-6 if m.is_finite else 0) == EQUAL
+    ok = _probe(alpha, beta, m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0) == EQUAL
     return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
 
-def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12, depth: int = 64):
+def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12):
     """Bisect per grid node; failed nodes are reported with beta = NaN
     rather than aborting the trace.
 
-    Each node runs the probes of ``kneading_bisect_beta`` at the default
-    verification depth.  m's spec, which only sets the residuals, is a
-    function of m alone, so it is made once per trace, not once per node:
-    every residual is the same.  A sequence without one fails every node,
-    as each node's ``kneading_bisect_beta`` would; RL^inf needs none and
+    Each node runs the probes of ``kneading_bisect_beta``.  m's spec, which
+    only sets the residuals, is a function of m alone and is made once per
+    trace.  A sequence without one fails every node; RL^inf needs none and
     gives its beta = 1 boundary points.
     """
     try:
@@ -170,7 +159,7 @@ def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12, depth: int = 64)
     points: list[IsentropePoint] = []
     for a in alphas:
         try:
-            points.append(_bisect(m, spec, a, tol, depth, _VERIFY_DEPTH))
+            points.append(_bisect(m, spec, a, tol))
         except (BracketError, ValueError):
             points.append(IsentropePoint(a, NAN, NAN, False))
     return points
@@ -182,7 +171,6 @@ def counterexample_scan(
     beta_lo: float,
     beta_hi: float,
     samples: int = 400,
-    depth: int = 48,
 ) -> list[ScanRoot]:
     """Roots of t -> Theta(alpha0, t) on [beta_lo, beta_hi] with the kneading
     relation of each root against the spec's sequence.
@@ -203,7 +191,7 @@ def counterexample_scan(
         raise ValueError("no sign change of Theta found on the requested range")
 
     labels = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
-    return [ScanRoot(r, labels[_side(alpha0, r, target, depth)]) for r in roots]
+    return [ScanRoot(r, labels[_side(alpha0, r, target)]) for r in roots]
 
 
 # -- rasters ---------------------------------------------------------------

@@ -73,12 +73,12 @@ def orbit(p: TentParams, x, n: int) -> list:
     return out
 
 
-def extended_itinerary(p: TentParams, x, n: int, eps_c=0) -> list[str]:
+def extended_itinerary(p: TentParams, x, n: int) -> list[str]:
     """Symbols of x, T(x), ... relative to alpha; iteration continues
-    through C symbols (T(alpha) = beta).  ``eps_c`` widens C detection."""
+    through C symbols (T(alpha) = beta)."""
     syms: list[str] = []
     for _ in range(n):
-        if abs(x - p.alpha) <= eps_c:
+        if x == p.alpha:
             syms.append(C)
         elif x < p.alpha:
             syms.append(L)

@@ -81,10 +81,15 @@ class ThetaSpec:
 
     @cached_property
     def _plan(self) -> tuple:
-        """Head and period gaps in fold order (last first), the distinct gaps
-        ascending, the period's length r and gap sum s (rho = x^r y^s), m1
-        and the term count: what every evaluation needs, made once per spec."""
-        return _fold_plan(self.gaps.head, self.gaps.period, self.gaps.m1)
+        """Head and period gaps in fold order (last first) as positions in
+        the distinct gaps, those gaps ascending, the period's length r and
+        gap sum s (rho = x^r y^s), m1 and the term count: what every
+        evaluation needs, made once per spec."""
+        head, period = self.gaps.head, self.gaps.period
+        distinct = sorted(set(head + period))
+        index = {g: i for i, g in enumerate(distinct)}
+        return (tuple(index[g] for g in reversed(head)), tuple(index[g] for g in reversed(period)),
+                distinct, len(period), sum(period), self.gaps.m1, len(head) + len(period))
 
     def cum(self, k: int) -> int:
         return self.gaps.cum(k)
@@ -110,12 +115,15 @@ def thex_spec() -> ThetaSpec:
     return ThetaSpec.from_text("gaps=" + ",".join(map(str, gaps)) + ";tail=R")
 
 
-def exceptional_spec(depth: int = 48) -> ThetaSpec:
-    """Demo spec built from the kneading data at the exceptional diagonal
-    parameter; useful for level-set rasters around that point."""
+_EXCEPTIONAL_DEPTH = 48
+
+
+def exceptional_spec() -> ThetaSpec:
+    """Demo spec built from the first 48 kneading symbols at the exceptional
+    diagonal parameter; useful for level-set rasters around that point."""
     from .tentmap import TentParams, kneading_prefix  # only this preset needs an orbit
     p = TentParams(0.5, EXCEPTIONAL_DIAGONAL_BETA)
-    return ThetaSpec.from_kneading_prefix(kneading_prefix(p, depth))
+    return ThetaSpec.from_kneading_prefix(kneading_prefix(p, _EXCEPTIONAL_DEPTH))
 
 
 @dataclass(frozen=True)
@@ -158,19 +166,15 @@ def _step2(u, g, acc):
     return (u * p, u * q, u * w, u * (q + k + kk), u * (g * q + m + km), u * (g * (w + m) + mm))
 
 
-def _fold_plan(head, period, m1):
-    return (head[::-1], period[::-1], sorted(set(head + period)), len(period), sum(period), m1,
-            len(head) + len(period))
-
-
 # each step with the moments of an empty sum
 _STEPS = {1: (_step1, (0,) * 3), 2: (_step2, (0,) * 6)}
 
 
-def _fold(step, us, gaps_rev, acc):
-    """Apply the Horner step for each gap of ``gaps_rev`` (last gap first)."""
-    for g in gaps_rev:
-        acc = step(us[g], g, acc)
+def _fold(step, us, distinct, gaps_rev, acc):
+    """Apply the Horner step for each gap of ``gaps_rev`` (last gap first),
+    given as positions in ``distinct``, whose u = x y^g are ``us``."""
+    for i in gaps_rev:
+        acc = step(us[i], distinct[i], acc)
     return acc
 
 
@@ -191,8 +195,7 @@ def _fixed_point_tail(a, rho, c, r: int, s: int):
             c * (a[5] + s * st * t + 2 * st * tm))
 
 
-def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, min_head: int = 0,
-              order: int = 0) -> list:
+def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, order: int = 0) -> list:
     """The series at each alpha of a row at one beta: the convergence
     guards, then the fold.  An admitted point gives (value, error_bound,
     terms_used) at order 0, or (x, y, moments) at order 1 or 2: S, then
@@ -200,12 +203,9 @@ def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, min_head: int =
     with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2.  A
     refused point is not raised: it gives its message as a format string
     and arguments.  The error bound covers roundoff only, as the tail is
-    summed exactly; a bound above ``tol`` refuses the point.  ``min_head``
-    unrolls that many period copies into the head (the value must not move).
+    summed exactly; a bound above ``tol`` refuses the point.
     """
-    g = spec.gaps
-    plan = spec._plan if min_head <= 0 else _fold_plan(g.head + g.period * min_head, g.period, g.m1)
-    head_rev, period_rev, distinct, r, s, m1, terms = plan
+    head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
     row = []
     for alpha in alphas:
         x = (alpha - 1) / beta
@@ -224,26 +224,26 @@ def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, min_head: int =
             row.append(("periodic tail ratio has modulus >= 1",))
             continue
         c = 1 / (1 - rho)
-        us = [0] * (distinct[-1] + 1)  # us[g] = x y^g for each gap g, unused entries 0
+        us = []  # us[i] = x y^g for the i-th distinct gap g
         for gap in distinct:
-            us[gap] = x * y ** gap
+            us.append(x * y ** gap)
         if order:
             step, zero = _STEPS[order]
-            tail = _fixed_point_tail(_fold(step, us, period_rev, zero), rho, c, r, s)
-            row.append((x, y, _fold(step, us, head_rev, tail)))
+            tail = _fixed_point_tail(_fold(step, us, distinct, period_rev, zero), rho, c, r, s)
+            row.append((x, y, _fold(step, us, distinct, head_rev, tail)))
             continue
-        mags = us[:]  # mags[g] = |us[g]|
-        for gap in distinct:
-            mags[gap] = abs(float(us[gap]))
+        mags = []  # mags[i] = |us[i]|
+        for u in us:
+            mags.append(abs(float(u)))
         acc, mag = 0, 0.0
-        for gap in period_rev:
-            acc = us[gap] * (1 + acc)
-            mag = mags[gap] * (1 + mag)
+        for i in period_rev:
+            acc = us[i] * (1 + acc)
+            mag = mags[i] * (1 + mag)
         acc = c * acc
         mag = 3 * abs(float(c)) * mag  # the tail's first period, weighted 3 |1/(1 - rho)|
-        for gap in head_rev:
-            acc = us[gap] * (1 + acc)
-            mag = mags[gap] * (1 + mag)
+        for i in head_rev:
+            acc = us[i] * (1 + acc)
+            mag = mags[i] * (1 + mag)
         bound = 8e-16 * (mag + 1.0)
         if bound > tol:
             row.append(("roundoff bound {:.2e} exceeds requested tol {:.2e}", bound, tol))
@@ -252,17 +252,17 @@ def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, min_head: int =
     return row
 
 
-def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12, min_head: int = 0):
+def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
     """One-point ``theta_row``; a refused point raises ``ConvergenceError``."""
-    (point,) = theta_row(spec, (alpha,), beta, tol, min_head, order)
+    (point,) = theta_row(spec, (alpha,), beta, tol, order)
     if type(point[0]) is str:
         raise ConvergenceError(point[0].format(*point[1:]))
     return point
 
 
-def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12, min_head: int = 0) -> ThetaValue:
+def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12) -> ThetaValue:
     """Series value with a closed-form tail: a one-point ``theta_row``."""
-    return ThetaValue(*_point(spec, alpha, beta, 0, tol, min_head))
+    return ThetaValue(*_point(spec, alpha, beta, 0, tol))
 
 
 def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
@@ -305,7 +305,10 @@ def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
     return Quadratic2D(daa, dab, dbb)
 
 
-def m1_first_return(alpha, beta, cap: int = 100_000) -> int:
+_FIRST_RETURN_CAP = 100_000
+
+
+def m1_first_return(alpha, beta) -> int:
     """Smallest m with (beta/(1-alpha))(1-beta)(beta/alpha)^m >= alpha;
     equals the first gap of the kneading sequence at (alpha, beta)."""
     if not (0 < alpha < beta <= 1):
@@ -315,8 +318,8 @@ def m1_first_return(alpha, beta, cap: int = 100_000) -> int:
     while v < alpha:
         v = v * beta / alpha
         m += 1
-        if m > cap:
-            raise RuntimeError(f"first return did not occur within {cap} steps")
+        if m > _FIRST_RETURN_CAP:
+            raise RuntimeError(f"first return did not occur within {_FIRST_RETURN_CAP} steps")
     return m
 
 
@@ -360,8 +363,11 @@ def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9
     give a root inside the bracket lies among them and is bisected as on
     the whole grid, so the pick is the whole grid's.  When no root is
     consistent, the whole grid is searched again to name every root in the
-    refusal.
+    refusal.  A range with ``not lo < hi`` is refused, since its roots would
+    not be refined.
     """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got {lo} and {hi}")
     m1 = spec.m1
     xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)
@@ -371,9 +377,8 @@ def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9
     def d_alpha(b):
         return theta_grad(spec, b, b)[0]
 
-    first, last = 0, grid
-    if lo < hi:  # increasing nodes: the last one <= blo through the first one >= bhi
-        first, last = max(bisect_right(xs, blo) - 1, 0), bisect_left(xs, bhi)
+    # the last node <= blo through the first one >= bhi
+    first, last = max(bisect_right(xs, blo) - 1, 0), bisect_left(xs, bhi)
     picks = [b for b in sign_change_roots(d_alpha, xs[first:last + 1]) if blo < b < bhi]
     if not picks:
         roots = sign_change_roots(d_alpha, xs)

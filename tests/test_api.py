@@ -1,6 +1,7 @@
 """The package's public names: which they are, where each lives, and that
 ``import skewtent`` loads them on first use."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -84,3 +85,59 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         skewtent.no_such_name
     assert not hasattr(skewtent, "lap_count")
+
+
+# the signature of every public function: a parameter added or removed shows here
+SIGNATURES = {
+    "compare": "(a: 'KneadingSeq', b: 'KneadingSeq') -> 'int'",
+    "compare_prefix": "(symbols: 'Sequence[str]', target: 'KneadingSeq') -> 'int'",
+    "doubling_limit_prefix": "(n: 'int') -> 'list[str]'",
+    "format_seq": "(seq: 'KneadingSeq') -> 'str'",
+    "gap_decomposition": "(m: 'KneadingSeq') -> 'GapSeq'",
+    "in_class_M": "(m: 'KneadingSeq', horizon: 'int' = 256) -> 'str'",
+    "is_maximal": "(a: 'KneadingSeq') -> 'bool'",
+    "minus_variant": "(m: 'KneadingSeq') -> 'KneadingSeq'",
+    "parse_seq": "(text: 'str') -> 'KneadingSeq'",
+    "parse_word": "(text: 'str') -> 'tuple[str, ...]'",
+    "shift": "(a: 'KneadingSeq', k: 'int') -> 'KneadingSeq'",
+    "star_product": "(word: 'Sequence[str] | str', b: 'KneadingSeq') -> 'KneadingSeq'",
+    "branch": "(p: 'TentParams', symbol: 'str', x)",
+    "entropy_lap": "(p: 'TentParams', n: 'int' = 16) -> 'float'",
+    "extended_itinerary": "(p: 'TentParams', x, n: 'int') -> 'list[str]'",
+    "from_lambda_mu": "(lm: 'LambdaMu') -> 'TentParams'",
+    "kneading_prefix": "(p: 'TentParams', n: 'int', eps_c=0) -> 'list[str]'",
+    "lap_counts": "(p: 'TentParams', n: 'int', cap: 'int' = 4000000) -> 'list[int]'",
+    "orbit": "(p: 'TentParams', x, n: 'int') -> 'list'",
+    "tent_eval": "(p: 'TentParams', x)",
+    "to_lambda_mu": "(p: 'TentParams') -> 'LambdaMu'",
+    "diagonal_stationary_beta":
+        "(spec: 'ThetaSpec', lo: 'float' = 0.505, hi: 'float' = 0.9985, "
+        "grid: 'int' = 1024) -> 'float'",
+    "m1_first_return": "(alpha, beta) -> 'int'",
+    "theta_eval": "(spec: 'ThetaSpec', alpha, beta, tol: 'float' = 1e-12) -> 'ThetaValue'",
+    "theta_grad": "(spec: 'ThetaSpec', alpha, beta)",
+    "theta_hessian": "(spec: 'ThetaSpec', alpha, beta) -> 'Quadratic2D'",
+    "theta_partial_sum": "(spec: 'ThetaSpec', alpha, beta, k: 'int')",
+    "thex_spec": "() -> 'ThetaSpec'",
+    "exceptional_spec": "() -> 'ThetaSpec'",
+    "compose_branch_condition": "(word: 'str | Sequence[str]') -> 'BivarPoly'",
+    "diagonal_critical_points": "(p: 'BivarPoly') -> 'list'",
+    "isolate_real_roots": "(coeffs: 'Sequence[Fraction]', lo, hi)",
+    "slope_at_diagonal": "(p: 'BivarPoly', beta0)",
+    "counterexample_scan":
+        "(spec: 'ThetaSpec', alpha0: 'float', beta_lo: 'float', beta_hi: 'float', "
+        "samples: 'int' = 400) -> 'list[ScanRoot]'",
+    "kneading_bisect_beta":
+        "(m: 'KneadingSeq', alpha: 'float', tol: 'float' = 1e-12) -> 'IsentropePoint'",
+    "raster": "(field, window, width: 'int', height: 'int') -> 'RasterGrid'",
+    "trace_isentrope": "(m: 'KneadingSeq', alphas, tol: 'float' = 1e-12)",
+    "write_csv": "(grid: 'RasterGrid', path: 'str | Path') -> 'None'",
+    "write_pgm": "(grid: 'RasterGrid', path: 'str | Path') -> 'dict'",
+}
+
+
+def test_public_function_signatures_are_pinned():
+    functions = {name for name in NAMES if inspect.isfunction(getattr(skewtent, name))}
+    assert functions == set(SIGNATURES)
+    for name, signature in SIGNATURES.items():
+        assert str(inspect.signature(getattr(skewtent, name))) == signature, name

@@ -11,6 +11,8 @@ its refusal) over a corpus of words, presets and seeded gap specs.
 import hashlib
 import random
 
+import pytest
+
 from skewtent import (
     LapOverflowError,
     TentParams,
@@ -101,8 +103,7 @@ def _lap_lines():
 def _stationary_cases(seed: int = 5, n_gaps: int = 60):
     """The trace words, thex and exceptional presets, seeded R^inf-tail gap
     specs and two gap specs with a second root in the m1 bracket, all on
-    the default grid, then thex on narrowed, reversed, one-node and coarse
-    grids."""
+    the default grid, then thex on narrowed, one-node and coarse grids."""
     cases = [(w, lambda w=w: ThetaSpec.from_seq(parse_seq(w)), ()) for w in _trace_words()]
     cases += [("thex", thex_spec, ()), ("exceptional", exceptional_spec, ())]
     rng = random.Random(seed)
@@ -114,8 +115,8 @@ def _stationary_cases(seed: int = 5, n_gaps: int = 60):
     for text in ("gaps=2,1,0,0,1,2;tail=R", "gaps=2,2,2,1,0,2,0;tail=R"):
         cases.append((text, lambda text=text: ThetaSpec.from_text(text), ()))
     cases += [("thex", thex_spec, args) for args in
-              [(0.505, 0.84), (0.9, 0.99), (0.8, 0.6), (0.87, 0.85, 4), (0.86, 0.86),
-               (0.505, 0.9985, 7), (0.835, 0.87, 16), (0.8, 0.9, 1), (0.85, 0.95, 2)]]
+              [(0.505, 0.84), (0.9, 0.99), (0.505, 0.9985, 7), (0.835, 0.87, 16),
+               (0.8, 0.9, 1), (0.85, 0.95, 2)]]
     return cases
 
 
@@ -147,6 +148,12 @@ def test_stationary_points_pinned():
     assert _digest(lines) == STATIONARY_DIGEST
 
 
+@pytest.mark.parametrize("args", [(0.8, 0.6), (0.87, 0.85, 4), (0.86, 0.86)])
+def test_stationary_search_refuses_an_empty_or_reversed_range(args):
+    with pytest.raises(ValueError, match=r"^need lo < hi, got "):
+        diagonal_stationary_beta(thex_spec(), *args)
+
+
 def test_lap_counts_pinned():
     lines = _lap_lines()
     assert sum("LapOverflowError" in line for line in lines) == LAP_OVERFLOWS
@@ -160,6 +167,7 @@ SCAN_DIGEST = "518da624231c8e62a4243d73b6d87d904855b184841fca40ac913ff3476af166"
 LAP_DIGEST = "8dd27ce0ce78fbe0191e54f7639927a6a6f347b114fe55d8374e94f30be56133"
 LAP_OVERFLOWS = 258
 # computed by the stationary search that evaluated d_alpha at every grid node
-STATIONARY_DIGEST = "31e54c2296f29a068d4e4b6d259879192ad3f0c6ea65acbb4af786a75c312e70"
-STATIONARY_NONE = 9
+# and still accepted reversed and empty ranges, over the same 96 cases
+STATIONARY_DIGEST = "2a49ef212bb04309834210c1699ce268942aee9adee5d6609410f39e48b6d747"
+STATIONARY_NONE = 7
 STATIONARY_AMBIGUOUS = 2

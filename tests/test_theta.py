@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -289,8 +290,20 @@ def test_error_bound_soundness():
             b = rng.uniform(0.52, 0.99)
             a = rng.uniform(1 - b + 0.05, b - 0.01)
             tv = theta_eval(spec, a, b)
-            refined = theta_eval(spec, a, b, min_head=4 * len(spec.gaps.head) + 16)
-            assert abs(refined.value - tv.value) <= tv.error_bound
+            exact = theta_eval(spec, Fraction(a), Fraction(b)).value
+            assert abs(Fraction(tv.value) - exact) <= Fraction(tv.error_bound)
+
+
+def test_a_large_gap_costs_no_table_of_its_size():
+    spec = ThetaSpec.from_text("gaps=1000000;tail=R")
+    tracemalloc.start()
+    try:
+        value = theta_eval(spec, 0.6, 0.8).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.19999999999999996
+    assert peak < 1 << 20
 
 
 def test_convergence_guard():
