@@ -350,24 +350,24 @@ def sign_change_roots(f, xs) -> list:
     return roots
 
 
-def diagonal_stationary_beta(spec: ThetaSpec, lo: float = 0.505, hi: float = 0.9985,
-                             grid: int = 1024) -> float:
+_STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID = 0.505, 0.9985, 1024
+
+
+def diagonal_stationary_beta(spec: ThetaSpec) -> float:
     """The diagonal point (b, b) where the gradient of the series vanishes.
 
     Theta vanishes identically on the diagonal, so d_beta = -d_alpha there
     and it suffices to find the root of d_alpha along the diagonal.  Among
-    the sign-change roots on the grid lo + (hi - lo) i / grid, the one
-    consistent with the first-return bracket (blo, bhi) for the spec's own
-    m1 is returned.  Only the grid nodes from the last one <= blo through
-    the first one >= bhi are evaluated: every node and node pair that can
-    give a root inside the bracket lies among them and is bisected as on
-    the whole grid, so the pick is the whole grid's.  When no root is
-    consistent, the whole grid is searched again to name every root in the
-    refusal.  A range with ``not lo < hi`` is refused, since its roots would
-    not be refined.
+    the sign-change roots on the grid lo + (hi - lo) i / grid, with lo =
+    0.505, hi = 0.9985 and grid = 1024, the one consistent with the
+    first-return bracket (blo, bhi) for the spec's own m1 is returned.
+    Only the grid nodes from the last one <= blo through the first one >=
+    bhi are evaluated: every node and node pair that can give a root inside
+    the bracket lies among them and is bisected as on the whole grid, so
+    the pick is the whole grid's.  When no root is consistent, the whole
+    grid is searched again to name every root in the refusal.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo} and {hi}")
+    lo, hi, grid = _STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID
     m1 = spec.m1
     xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)

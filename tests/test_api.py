@@ -110,9 +110,7 @@ SIGNATURES = {
     "orbit": "(p: 'TentParams', x, n: 'int') -> 'list'",
     "tent_eval": "(p: 'TentParams', x)",
     "to_lambda_mu": "(p: 'TentParams') -> 'LambdaMu'",
-    "diagonal_stationary_beta":
-        "(spec: 'ThetaSpec', lo: 'float' = 0.505, hi: 'float' = 0.9985, "
-        "grid: 'int' = 1024) -> 'float'",
+    "diagonal_stationary_beta": "(spec: 'ThetaSpec') -> 'float'",
     "m1_first_return": "(alpha, beta) -> 'int'",
     "theta_eval": "(spec: 'ThetaSpec', alpha, beta, tol: 'float' = 1e-12) -> 'ThetaValue'",
     "theta_grad": "(spec: 'ThetaSpec', alpha, beta)",

@@ -74,6 +74,8 @@ def test_extended_itinerary_examples():
     got = extended_itinerary(TentParams(0.5, 0.8), 0.5, 3)
     assert got[0] == "C"
     assert len(got) == 3
+    # C needs x == alpha exactly: Fraction(1, 10) is not the float 0.1
+    assert extended_itinerary(TentParams(0.1, 0.9), Fraction(1, 10), 3) == list("LRL")
 
 
 def test_kneading_prefix_examples():

@@ -271,6 +271,13 @@ def gap_specs(draw):
     return ThetaSpec(GapSeq((m1, *draw(rest)), tuple(period)))
 
 
+def _assert_within_bound(spec, a, b, tv):
+    """The float value tv at (a, b) is within its error_bound of the exact
+    Fraction value."""
+    exact = theta_eval(spec, Fraction(a), Fraction(b)).value
+    assert abs(Fraction(tv.value) - exact) <= Fraction(tv.error_bound)
+
+
 @given(gap_specs(), st.floats(0.5, 1.0, exclude_min=True), st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_error_bound_holds_against_exact_value(spec, b, t):
@@ -279,8 +286,7 @@ def test_error_bound_holds_against_exact_value(spec, b, t):
         tv = theta_eval(spec, a, b)
     except ConvergenceError:
         assume(False)
-    exact = theta_eval(spec, Fraction(a), Fraction(b)).value
-    assert abs(Fraction(tv.value) - exact) <= Fraction(tv.error_bound)
+    _assert_within_bound(spec, a, b, tv)
 
 
 def test_error_bound_soundness():
@@ -289,9 +295,7 @@ def test_error_bound_soundness():
         for _ in range(20):
             b = rng.uniform(0.52, 0.99)
             a = rng.uniform(1 - b + 0.05, b - 0.01)
-            tv = theta_eval(spec, a, b)
-            exact = theta_eval(spec, Fraction(a), Fraction(b)).value
-            assert abs(Fraction(tv.value) - exact) <= Fraction(tv.error_bound)
+            _assert_within_bound(spec, a, b, theta_eval(spec, a, b))
 
 
 def test_a_large_gap_costs_no_table_of_its_size():
