@@ -1,7 +1,8 @@
 """Isentrope tracing, counterexample scanning and level-set rasters.
 
 Curve points are located by bisection in beta using the parity order of
-kneading prefixes, which is monotone along verticals.  Rasters evaluate a
+kneading sequences, which is monotone along verticals; each probe reads
+the orbit only up to the first symbol that decides it.  Rasters evaluate a
 scalar field on an inclusive rectangular grid in deterministic row-major
 order (top row = largest beta) so identical inputs give bit-identical
 output files.
@@ -14,15 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .symbolic import (
-    EQUAL,
-    GREATER,
-    KneadingSeq,
-    LESS,
-    RL_INFINITY,
-    _parity_order,
-)
-from .tentmap import TentParams, kneading_prefix_at
+from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY
+from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
 from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
@@ -65,18 +59,11 @@ def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
         return NAN
 
 
-def _probe(alpha: float, beta: float, target: str, eps_c=0) -> int:
-    """Parity order of the kneading prefix at (alpha, beta), unchecked,
-    against ``target``, m's first symbols as ``m.text(depth)`` spells them.
-    The prefix is as long as the target, which stops at a C-terminated m's
-    own C: no symbol past it can change the answer."""
-    return _parity_order("".join(kneading_prefix_at(alpha, beta, len(target), eps_c)), target)
-
-
 def _side(alpha: float, beta: float, m: KneadingSeq) -> int:
-    """Parity order of K(alpha, beta) against m on a label-depth prefix."""
+    """Parity order of K(alpha, beta) against m, read up to the first
+    deciding symbol and at most the label depth."""
     TentParams(alpha, beta)  # raises outside the parameter square
-    return _probe(alpha, beta, m.text(_LABEL_DEPTH))
+    return kneading_order_at(alpha, beta, m.text(_LABEL_DEPTH))
 
 
 def _spec(m: KneadingSeq) -> ThetaSpec | None:
@@ -93,10 +80,11 @@ def kneading_bisect_beta(m: KneadingSeq, alpha: float, tol: float = 1e-12) -> Is
     """Locate beta with K(alpha, beta) = m by bisection on the kneading order.
 
     The bracket starts at (max(1-alpha, alpha, 1/2), 1) and halves until it
-    is no wider than ``tol`` or its ends are adjacent floats.  Comparisons
-    read at most 64 symbols; a C-terminated m is decided within its own
-    length, so no more are computed.  The returned point carries the Theta
-    residual of m's spec and a prefix verification at depth 48.
+    is no wider than ``tol`` or its ends are adjacent floats.  The returned
+    point carries the Theta residual of m's spec and a prefix verification
+    at depth 48.  A probe reads the orbit only up to the first symbol that
+    decides its order against m (a difference or a shared C), so 64
+    symbols per probe and 48 for the verification are upper bounds.
 
     Probes: the bracket ends, one per halving and the verification.
     (alpha, beta) is checked once, as a ``TentParams`` at the bracket
@@ -118,18 +106,18 @@ def _bisect(m, spec, alpha, tol) -> IsentropePoint:
         raise BracketError(f"empty beta range at alpha={alpha}")
     TentParams(alpha, lo)  # the one (alpha, beta) check: every probe lies in [lo, 1]
     target = m.text(_BISECT_DEPTH)
-    if _probe(alpha, lo, target) >= 0:
+    if kneading_order_at(alpha, lo, target) >= 0:
         raise BracketError(
             f"no valid bracket at alpha={alpha}: kneading at beta={lo:.6g} is not below target"
         )
-    if _probe(alpha, hi, target) < 0:
+    if kneading_order_at(alpha, hi, target) < 0:
         raise BracketError(f"no valid bracket at alpha={alpha}: top of range is below target")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent floats: the bracket cannot shrink any further
-        c = _probe(alpha, mid, target)
+        c = kneading_order_at(alpha, mid, target)
         if c == EQUAL:
             lo = hi = mid
             break
@@ -139,7 +127,7 @@ def _bisect(m, spec, alpha, tol) -> IsentropePoint:
             hi = mid
     beta = 0.5 * (lo + hi)
 
-    ok = _probe(alpha, beta, m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0) == EQUAL
+    ok = kneading_order_at(alpha, beta, m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0) == EQUAL
     return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
 
@@ -180,10 +168,16 @@ def counterexample_scan(
     never silently dropped.  The label depth stays a little below the
     bisection depth: a root located to double precision drifts off a curve
     orbit by about e^(depth * entropy), which must remain small against the
-    orbit scale for the equal-within-depth label.
+    orbit scale for the equal-within-depth label.  A label reads the
+    orbit only up to the first symbol that decides it, so 48 is an upper
+    bound.  alpha0 must lie in (0, 1) and the beta range in (0, 1]; other
+    input is refused before anything is evaluated.
     """
     if not beta_lo < beta_hi:
         raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
+    if not (0 < alpha0 < 1 and 0 < beta_lo and beta_hi <= 1):
+        raise ValueError(f"the scan needs alpha0 in (0,1) and beta in (0,1], "
+                         f"got alpha0={alpha0} and beta range [{beta_lo}, {beta_hi}]")
     target = spec.to_kneading()
     ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
     roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts)

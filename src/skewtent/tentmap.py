@@ -1,6 +1,7 @@
 """The skew tent map family: evaluation, orbits, itineraries, kneading
 sequences, the (lambda, mu) slope coordinates and a lap-count entropy
-estimator.
+estimator.  A kneading probe (``kneading_order_at``) reads the critical
+orbit only up to the first symbol that decides its order against a target.
 
 All arithmetic is type generic: passing ``fractions.Fraction`` parameters
 gives exact orbits, floats give the usual double precision ones.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .symbolic import C, L, R
+from .symbolic import C, EQUAL, GREATER, L, LESS, R
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,45 @@ def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
             raise ValueError(f"x={x} outside [0,1]")
         x = lam * x if x <= alpha else mu * (1 - x)
     return syms
+
+
+def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
+    """Parity order (LESS, EQUAL or GREATER) of the kneading sequence at the
+    turning point (alpha, beta), unchecked as in ``kneading_prefix_at``,
+    against the symbol string ``target``.
+
+    Each symbol is compared with ``target`` as soon as it is made, and the
+    orbit is read only up to the symbol that decides the order: the first
+    difference (L < C < R, reversed after an odd number of shared R's), a
+    shared C or the end of ``target``.  The answer is the parity order of
+    ``kneading_prefix_at(alpha, beta, len(target), eps_c)`` against
+    ``target``, but the [0, 1] guard, which never fires at a ``TentParams``
+    point, covers only the symbols read: no later iterate is made.
+    """
+    x = beta
+    lam, mu = x / alpha, x / (1 - alpha)
+    odd = False  # the symbols read so far hold an odd number of R's
+    for t in target:
+        if abs(x - alpha) <= eps_c:
+            if t == C:
+                return EQUAL
+            d = GREATER if t == L else LESS
+        else:
+            if x < 0 or x > 1:
+                raise ValueError(f"x={x} outside [0,1]")
+            if x < alpha:
+                if t == L:
+                    x = lam * x
+                    continue
+                d = LESS
+            elif t == R:
+                odd = not odd
+                x = lam * x if x <= alpha else mu * (1 - x)  # x == alpha only if eps_c < 0
+                continue
+            else:
+                d = GREATER
+        return -d if odd else d
+    return EQUAL
 
 
 def to_lambda_mu(p: TentParams) -> LambdaMu:

@@ -220,6 +220,13 @@ def test_error_is_machine_readable():
     (["theta", "--preset", "thex", "--alpha", "0.5", "--beta", "1e-60"], "series ratio inf"),
     (["raster", "--field", "theta_sign", "--preset", "thex", "--window", "0.9,0.3,0.55,0.99",
       "--size", "3x3", "--out", "unused"], "zero-area window"),
+    (["counterexample", "--preset", "thex", "--beta-lo", "0", "--beta-hi", "0.9"],
+     "beta in (0,1], got alpha0=0.4875 and beta range [0.0, 0.9]"),
+    (["counterexample", "--preset", "thex", "--beta-lo", "-0.5", "--beta-hi", "0.9"],
+     "beta range [-0.5, 0.9]"),
+    (["counterexample", "--preset", "thex", "--beta-lo", "0.6", "--beta-hi", "1.5"],
+     "beta range [0.6, 1.5]"),
+    (["counterexample", "--preset", "thex", "--alpha0", "1.2"], "alpha0 in (0,1)"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)

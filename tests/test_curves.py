@@ -23,6 +23,7 @@ from skewtent import (
     write_csv,
     write_pgm,
 )
+from skewtent import curves
 from skewtent.curves import THEX_ALPHA0, trace_csv
 
 
@@ -213,6 +214,31 @@ def test_scan_requires_sign_change():
     spec = ThetaSpec.from_seq(parse_seq("RLC"))
     with pytest.raises(ValueError, match="sign change"):
         counterexample_scan(spec, 0.6, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("alpha0, lo, hi", [
+    (THEX_ALPHA0, 0.0, 0.9),  # beta = 0 used to end in ZeroDivisionError
+    (THEX_ALPHA0, -0.5, 0.9),
+    (THEX_ALPHA0, 0.6, 1.5),
+    (0.0, 0.535, 0.995),
+    (1.0, 0.535, 0.995),
+    (-0.2, 0.535, 0.995),
+    (float("nan"), 0.535, 0.995),
+])
+def test_scan_refuses_points_outside_the_parameter_square(monkeypatch, alpha0, lo, hi):
+    def evaluated(*args):
+        raise AssertionError("the scan evaluated Theta before refusing")
+
+    monkeypatch.setattr(curves, "_residual", evaluated)
+    with pytest.raises(ValueError) as exc:
+        counterexample_scan(thex_spec(), alpha0, lo, hi)
+    assert str(exc.value) == ("the scan needs alpha0 in (0,1) and beta in (0,1], "
+                              f"got alpha0={alpha0} and beta range [{lo}, {hi}]")
+
+
+def test_scan_order_check_comes_first():
+    with pytest.raises(ValueError, match="need beta_lo < beta_hi, got 1.5 and -0.5"):
+        counterexample_scan(thex_spec(), 2.0, 1.5, -0.5)
 
 
 def test_theta_nonvanishing_above_curve():
