@@ -9,9 +9,9 @@ exactly when the reduced factor is linear or has a square discriminant.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Mapping, Sequence
 
 from .symbolic import C, L, R, parse_word
 from .theta import Quadratic2D, sign_change_roots

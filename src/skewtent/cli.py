@@ -5,10 +5,11 @@ rasters go to CSV or PGM files.  Every run is deterministic given its flags;
 failures exit nonzero after printing one machine-readable error line to
 stderr.
 
-``import skewtent`` loads none of the library's modules, and each command
-imports only the modules it runs, so a process pays for no more than its
-command needs; ``python -X importtime -m skewtent.cli knead ...`` shows
-which modules load.
+``import skewtent`` loads none of the library's modules.  A command loads
+``argparse``, the library modules it runs and the standard modules they
+import (``fractions`` for ``diagonal``), and no more: the records are
+plain classes, so no command loads ``dataclasses`` or ``inspect``.
+``python -X importtime -m skewtent.cli knead ...`` shows which modules load.
 """
 
 import argparse

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY
+from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY, Record, _set
 from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
 from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
@@ -27,18 +26,22 @@ class BracketError(RuntimeError):
     """The target curve does not cross the admissible beta range."""
 
 
-@dataclass(frozen=True)
-class IsentropePoint:
-    alpha: float
-    beta: float
-    residual_theta: float
-    kneading_ok: bool
+class IsentropePoint(Record):
+    __slots__ = _fields = ("alpha", "beta", "residual_theta", "kneading_ok")
+
+    def __init__(self, alpha: float, beta: float, residual_theta: float, kneading_ok: bool) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "residual_theta", residual_theta)
+        _set(self, "kneading_ok", kneading_ok)
 
 
-@dataclass(frozen=True)
-class ScanRoot:
-    beta: float
-    relation: str  # "less", "equal" (within depth) or "greater"
+class ScanRoot(Record):
+    __slots__ = _fields = ("beta", "relation")
+
+    def __init__(self, beta: float, relation: str) -> None:
+        _set(self, "beta", beta)
+        _set(self, "relation", relation)  # "less", "equal" (within depth) or "greater"
 
 
 # -- presets -------------------------------------------------------------
@@ -191,38 +194,47 @@ def counterexample_scan(
 # -- rasters ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaValueField:
-    spec: ThetaSpec
+class ThetaValueField(Record):
+    __slots__ = _fields = ("spec",)
+
+    def __init__(self, spec: ThetaSpec) -> None:
+        _set(self, "spec", spec)
 
     def describe(self) -> str:
         return f"theta_value[{self.spec.gaps.to_text()}]"
 
 
-@dataclass(frozen=True)
-class ThetaSignField:
-    spec: ThetaSpec
+class ThetaSignField(Record):
+    __slots__ = _fields = ("spec",)
+
+    def __init__(self, spec: ThetaSpec) -> None:
+        _set(self, "spec", spec)
 
     def describe(self) -> str:
         return f"theta_sign[{self.spec.gaps.to_text()}]"
 
 
-@dataclass(frozen=True)
-class KneadingClassField:
-    depth: int = 8
+class KneadingClassField(Record):
+    __slots__ = _fields = ("depth",)
+
+    def __init__(self, depth: int = 8) -> None:
+        _set(self, "depth", depth)
 
     def describe(self) -> str:
         return f"kneading_class[depth={self.depth}]"
 
 
-@dataclass(frozen=True)
-class RasterGrid:
-    alpha_range: tuple[float, float]
-    beta_range: tuple[float, float]
-    width: int
-    height: int
-    values: tuple[float, ...]  # row-major, top row = beta_range[1]
-    field: str
+class RasterGrid(Record):
+    __slots__ = _fields = ("alpha_range", "beta_range", "width", "height", "values", "field")
+
+    def __init__(self, alpha_range: tuple[float, float], beta_range: tuple[float, float], width: int,
+                 height: int, values: tuple[float, ...], field: str) -> None:
+        _set(self, "alpha_range", alpha_range)
+        _set(self, "beta_range", beta_range)
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "values", values)  # row-major, top row = beta_range[1]
+        _set(self, "field", field)
 
     def node(self, col: int, row: int) -> tuple[float, float]:
         a0, a1 = self.alpha_range
@@ -254,8 +266,7 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     if a1 <= a0 or b1 <= b0:
         raise ValueError("zero-area window")
 
-    shape = RasterGrid((a0, a1), (b0, b1), width, height, (), "")
-    alphas, betas = shape.axes()
+    alphas, betas = RasterGrid((a0, a1), (b0, b1), width, height, (), "").axes()
     values: list[float] = []
     if isinstance(field, (ThetaValueField, ThetaSignField)):
         spec, sign = field.spec, isinstance(field, ThetaSignField)
@@ -278,7 +289,7 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
                 values.append(float(class_ids.setdefault(key, len(class_ids))))
     else:
         raise TypeError(f"unknown raster field {field!r}")
-    return replace(shape, values=tuple(values), field=field.describe())
+    return RasterGrid((a0, a1), (b0, b1), width, height, tuple(values), field.describe())
 
 
 SENTINEL_GRAY = 255

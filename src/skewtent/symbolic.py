@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 L = "L"
 C = "C"
@@ -32,6 +31,43 @@ GREATER = 1
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
+
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class Record:
+    """Base of the library's immutable value types.  A subclass names its
+    fields in ``_fields`` and ``__slots__`` and sets them in ``__init__``
+    with ``_set``; equality within one class, the hash, the repr, pickling
+    and copying (through ``__init__``) follow from the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def flip(symbol: str) -> str:
@@ -66,8 +102,7 @@ def _canonical(pre: tuple, period: tuple) -> tuple[tuple, tuple]:
     return pre, period
 
 
-@dataclass(frozen=True)
-class KneadingSeq:
+class KneadingSeq(Record):
     """An admissible symbol sequence, either C-terminated or eventually periodic.
 
     ``period is None`` encodes the finite sequence ``pre + C``; otherwise the
@@ -76,23 +111,21 @@ class KneadingSeq:
     so ``==`` is semantic equality.
     """
 
-    pre: tuple[str, ...]
-    period: tuple[str, ...] | None = None
+    __slots__ = ("pre", "period", "_head", "_tail")
+    _fields = ("pre", "period")
 
-    def __post_init__(self) -> None:
-        pre = _check_word(self.pre, "preperiod")
-        period = self.period
+    def __init__(self, pre: Sequence[str], period: Sequence[str] | None = None) -> None:
+        pre = _check_word(pre, "preperiod")
         if period is not None:
             period = _check_word(period, "period")
             if not period:
                 raise ValueError("period must be nonempty")
             pre, period = _canonical(pre, period)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "period", period)
-        # joined once for text(n); eager, as a cached property's first
-        # access costs more than the joins
-        object.__setattr__(self, "_head", "".join(pre) + (C if period is None else ""))
-        object.__setattr__(self, "_tail", "".join(period or ()))
+        _set(self, "pre", pre)
+        _set(self, "period", period)
+        # joined once for text(n)
+        _set(self, "_head", "".join(pre) + (C if period is None else ""))
+        _set(self, "_tail", "".join(period or ()))
 
     # -- basic structure -------------------------------------------------
 
@@ -300,8 +333,7 @@ def minus_variant(m: KneadingSeq) -> KneadingSeq:
 # -- gap decomposition --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapSeq:
+class GapSeq(Record):
     """Run lengths of L-blocks between consecutive R's of an infinite
     sequence R L^{m1} R L^{m2} ..., with an eventually periodic tail.
 
@@ -309,12 +341,11 @@ class GapSeq:
     form keeps the head minimal and the period primitive.
     """
 
-    head: tuple[int, ...]
-    period: tuple[int, ...] = (0,)
+    __slots__ = _fields = ("head", "period")
 
-    def __post_init__(self) -> None:
-        head = tuple(int(g) for g in self.head)
-        period = tuple(int(g) for g in self.period)
+    def __init__(self, head: Sequence[int], period: Sequence[int] = (0,)) -> None:
+        head = tuple(int(g) for g in head)
+        period = tuple(int(g) for g in period)
         if not period:
             raise ValueError("gap period must be nonempty")
         if any(g < 0 for g in head + period):
@@ -325,8 +356,8 @@ class GapSeq:
         if any(g > m1 for g in head + period):
             raise ValueError("gaps may not exceed the first gap")
         head, period = _canonical(head, period)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "period", period)
+        _set(self, "head", head)
+        _set(self, "period", period)
 
     @property
     def all_zero_tail(self) -> bool:

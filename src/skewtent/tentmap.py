@@ -10,13 +10,11 @@ gives exact orbits, floats give the usual double precision ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .symbolic import C, EQUAL, GREATER, L, LESS, R
+from .symbolic import C, EQUAL, GREATER, L, LESS, R, Record, _set
 
 
-@dataclass(frozen=True)
-class TentParams:
+class TentParams(Record):
     """Turning point (alpha, beta) of the skew tent map.
 
     The dynamically nontrivial region U requires 0.5 < beta <= 1 and
@@ -24,14 +22,15 @@ class TentParams:
     the extended evaluations near the diagonal.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not (0 < self.beta <= 1):
-            raise ValueError(f"beta must lie in (0,1], got {self.beta}")
+    def __init__(self, alpha: float, beta: float) -> None:
+        if not (0 < alpha < 1):
+            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+        if not (0 < beta <= 1):
+            raise ValueError(f"beta must lie in (0,1], got {beta}")
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
     @property
     def in_u(self) -> bool:
@@ -39,12 +38,14 @@ class TentParams:
         return 2 * b > 1 and b <= 1 and 1 - b < a < b
 
 
-@dataclass(frozen=True)
-class LambdaMu:
+class LambdaMu(Record):
     """Slope coordinates lambda = beta/alpha, mu = beta/(1-alpha)."""
 
-    lam: float
-    mu: float
+    __slots__ = _fields = ("lam", "mu")
+
+    def __init__(self, lam: float, mu: float) -> None:
+        _set(self, "lam", lam)
+        _set(self, "mu", mu)
 
 
 def tent_eval(p: TentParams, x):

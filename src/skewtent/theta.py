@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 
-from .symbolic import C, GapSeq, KneadingSeq, R, gap_decomposition, minus_variant
+from .symbolic import C, GapSeq, KneadingSeq, R, Record, _set, gap_decomposition, minus_variant
 
 
 class ConvergenceError(ValueError):
     """Parameters outside the region where the series converges."""
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(Record):
     """Gap data feeding the series; wraps a validated GapSeq.
 
     ``source`` remembers the sequence the gaps came from when known.  The
@@ -39,8 +36,22 @@ class ThetaSpec:
     run against the original.
     """
 
-    gaps: GapSeq
-    source: KneadingSeq | None = None
+    __slots__ = ("gaps", "source", "_plan")
+    _fields = ("gaps", "source")
+
+    def __init__(self, gaps: GapSeq, source: KneadingSeq | None = None) -> None:
+        _set(self, "gaps", gaps)
+        _set(self, "source", source)
+        # what every evaluation needs, made once: head and period gaps in fold
+        # order (last first) as positions in the distinct gaps, those gaps
+        # ascending, the period's length r and gap sum s (rho = x^r y^s), m1
+        # and the term count
+        head, period = gaps.head, gaps.period
+        distinct = sorted(set(head + period))
+        index = {g: i for i, g in enumerate(distinct)}
+        plan = (tuple(index[g] for g in reversed(head)), tuple(index[g] for g in reversed(period)),
+                distinct, len(period), sum(period), gaps.m1, len(head) + len(period))
+        _set(self, "_plan", plan)
 
     @classmethod
     def from_seq(cls, m: KneadingSeq) -> "ThetaSpec":
@@ -79,18 +90,6 @@ class ThetaSpec:
     def m1(self) -> int:
         return self.gaps.m1
 
-    @cached_property
-    def _plan(self) -> tuple:
-        """Head and period gaps in fold order (last first) as positions in
-        the distinct gaps, those gaps ascending, the period's length r and
-        gap sum s (rho = x^r y^s), m1 and the term count: what every
-        evaluation needs, made once per spec."""
-        head, period = self.gaps.head, self.gaps.period
-        distinct = sorted(set(head + period))
-        index = {g: i for i, g in enumerate(distinct)}
-        return (tuple(index[g] for g in reversed(head)), tuple(index[g] for g in reversed(period)),
-                distinct, len(period), sum(period), self.gaps.m1, len(head) + len(period))
-
     def cum(self, k: int) -> int:
         return self.gaps.cum(k)
 
@@ -126,20 +125,24 @@ def exceptional_spec() -> ThetaSpec:
     return ThetaSpec.from_kneading_prefix(kneading_prefix(p, _EXCEPTIONAL_DEPTH))
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    value: float
-    error_bound: float
-    terms_used: int
+class ThetaValue(Record):
+    __slots__ = _fields = ("value", "error_bound", "terms_used")
+
+    def __init__(self, value: float, error_bound: float, terms_used: int) -> None:
+        _set(self, "value", value)
+        _set(self, "error_bound", error_bound)
+        _set(self, "terms_used", terms_used)
 
 
-@dataclass(frozen=True)
-class Quadratic2D:
+class Quadratic2D(Record):
     """Symmetric quadratic form a x^2 + 2 b xy + c y^2."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = _fields = ("a", "b", "c")
+
+    def __init__(self, a: float, b: float, c: float) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
 
 # One Horner step acc -> u (1 + acc) with u = x y^g, on S and its Euler

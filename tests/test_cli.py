@@ -281,7 +281,7 @@ def test_bad_sequence_text():
 
 # Runs one command through ``main`` (a bare ``import skewtent`` for an empty
 # list, every module of the library for ``None``) and prints whether numpy and
-# which skewtent modules loaded.
+# which skewtent modules loaded, then every module loaded.
 IMPORT_PROBE = """
 import json, sys
 argv = json.loads(sys.argv[1])
@@ -292,7 +292,8 @@ elif argv is None:
     import skewtent.algebraic, skewtent.cli, skewtent.curves
 else:
     import skewtent
-print(json.dumps(["numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("skewtent."))]))
+print(json.dumps(["numpy" in sys.modules, sorted(m for m in sys.modules if m.startswith("skewtent.")),
+                  sorted(sys.modules)]))
 """
 
 POINT = ["--alpha", "0.6", "--beta", "0.8"]
@@ -321,12 +322,19 @@ def test_import_leaves_numpy_out(tmp_path):
     # process a few ms of import
     raster = ["raster", "--field", "kneading_class", "--window", "0.5,0.6,0.7,0.8", "--size", "2x2",
               "--out", str(tmp_path / "k")]
+    # dataclasses and the inspect, ast, dis and tokenize it pulls in cost
+    # about a third of the library's import; site hooks may preload modules,
+    # so only what a command adds to a bare interpreter counts
+    bare = subprocess.run([sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+                          env=_src_env(), capture_output=True, text=True, check=True)
+    baseline = set(json.loads(bare.stdout.splitlines()[-1]))
     for argv, loaded in [*IMPORT_CASES, (raster, CURVES)]:
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)], env=_src_env(),
                              capture_output=True, text=True, check=True)
-        numpy, modules = json.loads(out.stdout.splitlines()[-1])
+        numpy, modules, everything = json.loads(out.stdout.splitlines()[-1])
         assert not numpy, argv
         assert {m.split(".")[1] for m in modules} - {"cli"} == loaded, (argv, modules)
+        assert not {"dataclasses", "inspect"} & (set(everything) - baseline), argv
 
 
 # SHA-256 of ``--help`` at COLUMNS=80, top parser first, taken before the
