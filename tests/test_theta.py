@@ -31,7 +31,7 @@ from skewtent import (
     thex_spec,
 )
 from skewtent.cli import main as cli_main
-from skewtent.theta import sign_change_roots
+from skewtent.theta import _generic_row, sign_change_roots, theta_row
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
 RLLRC = ThetaSpec.from_seq(parse_seq("RLLRC"))
@@ -296,6 +296,72 @@ def test_error_bound_soundness():
             b = rng.uniform(0.52, 0.99)
             a = rng.uniform(1 - b + 0.05, b - 0.01)
             _assert_within_bound(spec, a, b, theta_eval(spec, a, b))
+
+
+# ------------------------------------------------------------ integer kernel
+
+
+def _fractions_in(lo, hi):
+    return st.fractions(lo, hi, max_denominator=97)
+
+
+@st.composite
+def rational_points(draw):
+    """A rational point of U, of the diagonal, of U mirrored to beta < 0
+    (where y < -1 and the periodic tail can diverge alone), or of the
+    square [-1, 1]^2 without beta = 0, where most points are refused."""
+    region = draw(st.sampled_from(["U", "diagonal", "mirror", "square"]))
+    b = draw(_fractions_in(Fraction(1, 2), 1).filter(lambda v: v > Fraction(1, 2)))
+    if region == "diagonal":
+        return b, b
+    if region in ("U", "mirror"):
+        t = draw(_fractions_in(0, 1))
+        a = (1 - b) + t * (2 * b - 1)
+        return (b, -a) if region == "mirror" and a else (a, b)
+    a = draw(st.one_of(_fractions_in(-1, 1), st.integers(-1, 1)))
+    b = draw(st.one_of(_fractions_in(-1, 1), st.integers(-1, 1)).filter(lambda v: v != 0))
+    return a, b
+
+
+def _reference_derivatives(spec, a, b):
+    """theta_grad's and theta_hessian's formulas on the generic fold."""
+    ((x, y, (_, k, m, kk, km, mm)),) = _generic_row(spec, (a,), b, 1e-12, 2)
+    b2 = b * b
+    return ((k / x + m / y) / b, -1 - (k + m) / b,
+            ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2,
+            -((kk + km) / x + (km + mm) / y) / b2, (kk + 2 * km + mm + k + m) / b2)
+
+
+@given(gap_specs(), rational_points(), st.sampled_from([1e-12, 1e-15, 1e-20]))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_generic_fold(spec, point, tol):
+    # values and moments equal exactly, error_bound and terms_used bit for
+    # bit, and a refused point refused with the same text
+    a, b = point
+    for order in (0, 1, 2):
+        (got,) = theta_row(spec, [a], b, tol, order)
+        (ref,) = _generic_row(spec, [Fraction(a)], Fraction(b), tol, order)
+        assert got == ref
+        assert [type(v) for v in got] == [type(v) for v in ref]
+        if type(ref[0]) is str:
+            assert got[0].format(*got[1:]) == ref[0].format(*ref[1:])
+        elif order:
+            assert all(type(v) is Fraction for v in (*got[:2], *got[2]))
+        else:
+            assert type(got[0]) is Fraction
+    if type(ref[0]) is not str and a and a != 1:
+        q = theta_hessian(spec, a, b)
+        got = (*theta_grad(spec, a, b), q.a, q.b, q.c)
+        assert got == _reference_derivatives(spec, Fraction(a), Fraction(b))
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_float_and_mixed_inputs_take_the_generic_fold():
+    for a, b in [(0.62, 0.8), (Fraction(31, 50), 0.8), (0.62, Fraction(4, 5))]:
+        assert theta_row(THEX, [a, 0.5], b) == _generic_row(THEX, [a, 0.5], b, 1e-12, 0)
+        assert type(theta_eval(THEX, a, b).value) is float
+    assert theta_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5)) == _generic_row(
+        THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0)
 
 
 def test_a_large_gap_costs_no_table_of_its_size():
