@@ -2,21 +2,17 @@
 composition, diagonal critical points and tangent slopes of the implicit
 curves at the diagonal.
 
-``BivarPoly`` carries Fraction coefficients, and every result is exact
-where its inputs are rational (int or Fraction).  Inside, the work runs on
-integers and forms one Fraction per result: branch composition on dicts of
-int, the squarefree reduction on a primitive pseudo-remainder sequence, and
-the diagonal partials at a rational point on integer numerators.  Numeric
-root refinement happens only after squarefree reduction, and rational roots
-are reported exactly when the reduced factor is linear or has a square
-discriminant.
+Polynomials carry Fraction coefficients throughout, and rational inputs
+(int or Fraction) give exact results; numeric root refinement happens only
+after squarefree reduction, and rational roots are reported exactly when the
+reduced factor is linear or has a square discriminant.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .symbolic import C, L, R, parse_word
 from .theta import Quadratic2D, sign_change_roots
@@ -185,48 +181,19 @@ def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
     if syms[0] != R:
         raise ValueError("word must start with R")
 
-    # num and den are dicts of int coefficients: every step multiplies by a
-    # monomial or by alpha - 1, a shift or a shift and a difference; keys
-    # enter in the order BivarPoly's ring operations give them
-    num, den = {(0, 1): 1}, {(0, 0): 1}
+    one, a, b = BivarPoly.constant(1), BivarPoly.alpha(), BivarPoly.beta()
+    num, den = b, one
     for s in syms:
         if s == L:  # (beta/alpha) x
-            num, den = _shift(num, 0, 1), _shift(den, 1, 0)
+            num, den = num * b, den * a
         elif s == R:  # beta (x - 1) / (alpha - 1)
-            num, den = _shift(_difference(num, den), 0, 1), _times_alpha_minus_one(den)
+            num, den = b * (num - den), den * (a - one)
         else:
             raise ValueError(f"branch symbol must be L or R, got {s!r}")
-    out = _difference(num, _shift(den, 1, 0))
-    content = 0
-    for v in out.values():
-        content = gcd(content, v)
-    if out[max(out, key=lambda k: (k[0] + k[1], k[0]))] < 0:
-        content = -content
-    return BivarPoly({k: Fraction(v // content) for k, v in out.items()})
+    return (num - a * den).normalized()
 
 
-def _shift(p: dict, di: int, dj: int) -> dict:
-    """p times alpha^di beta^dj."""
-    return {(i + di, j + dj): v for (i, j), v in p.items()}
-
-
-def _difference(p: dict, q: dict) -> dict:
-    """p - q without zero coefficients, p's keys first."""
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _times_alpha_minus_one(p: dict) -> dict:
-    out: dict = {}
-    for (i, j), v in p.items():
-        out[(i + 1, j)] = out.get((i + 1, j), 0) + v
-        out[(i, j)] = out.get((i, j), 0) - v
-    return {k: v for k, v in out.items() if v}
-
-
-# -- univariate helpers (coefficients ascending) ---------------------------------
+# -- univariate helpers (coefficients ascending, Fractions) -----------------------
 
 
 def _upoly_eval(coeffs: Sequence, x):
@@ -236,72 +203,44 @@ def _upoly_eval(coeffs: Sequence, x):
     return total
 
 
-def _upoly_derivative(coeffs: Sequence[int]) -> list[int]:
-    return [coeffs[i] * i for i in range(1, len(coeffs))] or [0]
+def _upoly_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    return [coeffs[i] * i for i in range(1, len(coeffs))] or [Fraction(0)]
 
 
-def _upoly_trim(coeffs: Sequence) -> list:
-    out = list(coeffs) or [0]
+def _upoly_trim(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    out = list(coeffs) or [Fraction(0)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
 
 
-def _integer_form(values) -> tuple[list[int], int]:
-    """Integer numerators of rational values over one common denominator."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _primitive(coeffs: list[int]) -> list[int]:
-    content = gcd(*coeffs)
-    return [c // content for c in coeffs] if content > 1 else coeffs
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of lc(b)^(deg a - deg b + 1) a on division by b, on
-    integers: each step scales by lc(b) instead of dividing by it."""
-    r, lead, nb = list(a), b[-1], len(b) - 1
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + nb]
-        r = [lead * v for v in r[:k + nb]]  # the top term cancels
-        for i in range(nb):
+def _upoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list, list]:
+    """Exact long division: (q, r) with a = q b + r and deg r < deg b."""
+    r = _upoly_trim(a)
+    b = _upoly_trim(b)
+    if b == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
+    for k in range(len(r) - len(b), -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for i in range(len(b)):
             r[k + i] -= c * b[i]
-    return _upoly_trim(r)
+    return _upoly_trim(q), _upoly_trim(r[: len(b) - 1])
 
 
-def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials with deg a >= deg b, by the
-    primitive pseudo-remainder sequence (Collins, JACM 1967): each
-    remainder is divided by its content, so no Fraction is formed."""
-    a, b = _primitive(a), _primitive(b)
-    while any(b):
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+def _upoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    a = _upoly_trim(a)
+    b = _upoly_trim(b)
+    while not (len(b) == 1 and b[0] == 0):
+        a, b = b, _upoly_divmod(a, b)[1]
+    if a[-1] != 0:
+        a = [c / a[-1] for c in a]
     return a
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b on integers, for a primitive b that divides a over Q, which by
-    Gauss's lemma leaves an integer quotient."""
-    r, nb = list(a), len(b) - 1
-    q = [0] * (len(a) - nb)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + nb] // b[-1]
-        for i in range(nb):
-            r[k + i] -= c * b[i]
-    return q
-
-
-def _squarefree(coeffs: Sequence) -> list[Fraction]:
-    """coeffs divided by their monic gcd with their derivative: with f / den
-    the integer form and g the primitive gcd, that is lc(g) (f / g) / den."""
-    f, den = _integer_form(coeffs)
-    f = _upoly_trim(f)
-    g = _primitive_gcd(f, _upoly_derivative(f))
-    if len(g) == 1:
-        return [Fraction(c, den) for c in f]
-    return [Fraction(g[-1] * c, den) for c in _exact_quotient(f, g)]
+def _squarefree(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    g = _upoly_gcd(coeffs, _upoly_derivative(coeffs))
+    return _upoly_trim(coeffs) if len(g) == 1 else _upoly_divmod(coeffs, g)[0]
 
 
 def _exact_roots_low_degree(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -328,8 +267,9 @@ def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi):
     """Real roots of a univariate polynomial inside the open interval
     (lo, hi): sign-change bisection on the squarefree part over a grid of
     64 nodes per coefficient (at least 256), exact values where the reduced
-    polynomial admits them."""
-    sf = _squarefree(coeffs)
+    polynomial admits them.  Exact arithmetic needs Fraction coefficients:
+    on two ints ``/`` is float division."""
+    sf = _squarefree([Fraction(c) for c in coeffs])
     exact = _exact_roots_low_degree(sf)
     if exact is not None:
         return sorted(r for r in exact if Fraction(lo) < r < Fraction(hi))
@@ -350,17 +290,10 @@ def diagonal_critical_points(p: BivarPoly) -> list:
     These are the candidate diagonal meeting points of the implicit curve.
     Requires p to vanish identically on the diagonal (checked exactly).
     """
-    nums, den = _integer_form(p.coeffs.values())
-    top = max((i + j for (i, j) in p.coeffs), default=0)
-    diag, q = [0] * (top + 1), [0] * max(top, 1)  # p(a, a) and (d_alpha p)(a, a), times den
-    for (i, j), v in zip(p.coeffs, nums):
-        diag[i + j] += v
-        if i:
-            q[i + j - 1] += i * v
-    if any(diag):
+    diag = p.substitute_diagonal()
+    if _upoly_trim(diag) != [Fraction(0)]:
         raise ValueError("polynomial does not vanish on the diagonal")
-    if den > 1:
-        q = [Fraction(c, den) for c in q]
+    q = p.partial("alpha").substitute_diagonal()
     roots = isolate_real_roots(q, Fraction(1, 2), Fraction(1))
     if not roots:
         raise ValueError("no diagonal critical points in (1/2, 1)")
@@ -378,65 +311,35 @@ def slope_at_diagonal(p: BivarPoly, beta0):
     Returns ((1, slope), quadratic), exact when b0 is rational (int or
     Fraction).
     """
-    if isinstance(beta0, (int, Fraction)):
-        return _exact_slope(p, beta0)
-    # the five partials at (t, t), each summed term by term in p's key order
-    # with the floats BivarPoly.partial and evaluate would give
-    t = beta0
-    da = db = qa = qb = qc = 0.0
-    scale = 1.0
-    for (i, j), v in p.coeffs.items():
-        n, d = v.numerator, v.denominator
-        scale = max(scale, abs(n / d))
-        if i:
-            da += n * i / d * t ** (i - 1) * t ** j
-        if j:
-            db += n * j / d * t ** i * t ** (j - 1)
-        if i > 1:
-            qa += n * i * (i - 1) / d * t ** (i - 2) * t ** j
-        if i and j:
-            qb += n * i * j / d * t ** (i - 1) * t ** (j - 1)
-        if j > 1:
-            qc += n * j * (j - 1) / d * t ** i * t ** (j - 2)
-    if abs(da) > 1e-10 * scale or abs(db) > 1e-10 * scale:
-        _refuse_first_differential(None if db == 0 else -da / db)
-    _check_second_differential(qc, abs(qa + 2 * qb + qc) > 1e-10 * max(abs(qa), abs(qc), 1.0))
-    return (1.0, qa / qc), Quadratic2D(qa, qb, qc)
-
-
-def _exact_slope(p: BivarPoly, beta0):
-    """``slope_at_diagonal`` at a rational b0 = n/d on integers: the five
-    partials of p at (b0, b0) share the denominator den d^top, so only
-    their numerators are summed, and a Fraction is formed per result."""
-    nums, den = _integer_form(p.coeffs.values())
-    n, d = beta0.numerator, beta0.denominator
-    top = max((i + j for (i, j) in p.coeffs), default=0)
-    powers = [n ** k * d ** (top - k) for k in range(top + 1)]  # b0^k times d^top
-    da = db = qa = qb = qc = 0
-    for (i, j), v in zip(p.coeffs, nums):
-        if i + j >= 1:
-            t = v * powers[i + j - 1]
-            da, db = da + i * t, db + j * t
-        if i + j >= 2:
-            t = v * powers[i + j - 2]
-            qa, qb, qc = qa + i * (i - 1) * t, qb + i * j * t, qc + j * (j - 1) * t
-    if da or db:
-        _refuse_first_differential(None if db == 0 else Fraction(-da, db))
-    _check_second_differential(qc, qa + 2 * qb + qc != 0)
-    scale = den * d ** top
-    return (Fraction(1), Fraction(qa, qc)), Quadratic2D(Fraction(qa, scale), Fraction(qb, scale),
-                                                        Fraction(qc, scale))
-
-
-def _refuse_first_differential(implicit) -> None:
-    raise ValueError(
-        "first differential does not vanish at the diagonal point; "
-        f"implicit differentiation applies instead, slope {implicit}"
-    )
-
-
-def _check_second_differential(qc, off_diagonal: bool) -> None:
+    exact = isinstance(beta0, (int, Fraction))
+    pa, pb = p.partial("alpha"), p.partial("beta")
+    da = pa.evaluate(beta0, beta0)
+    db = pb.evaluate(beta0, beta0)
+    scale = max(1.0, max(abs(float(v)) for v in p.coeffs.values()))
+    if exact:
+        nonzero = da != 0 or db != 0
+    else:
+        nonzero = abs(da) > 1e-10 * scale or abs(db) > 1e-10 * scale
+    if nonzero:
+        implicit = None if db == 0 else -da / db
+        raise ValueError(
+            "first differential does not vanish at the diagonal point; "
+            f"implicit differentiation applies instead, slope {implicit}"
+        )
+    qa = pa.partial("alpha").evaluate(beta0, beta0)
+    qb = pa.partial("beta").evaluate(beta0, beta0)
+    qc = pb.partial("beta").evaluate(beta0, beta0)
     if qc == 0:
         raise ValueError("degenerate second differential (C = 0)")
-    if off_diagonal:
-        raise AssertionError("diagonal direction not a root of the quadratic")
+    resid = qa + 2 * qb + qc
+    if exact:
+        if resid != 0:
+            raise AssertionError("diagonal direction not a root of the quadratic")
+        one = Fraction(1)
+    else:
+        if abs(resid) > 1e-10 * max(abs(qa), abs(qc), 1.0):
+            raise AssertionError("diagonal direction not a root of the quadratic")
+        one = 1.0
+    other = qa / qc
+    quad = Quadratic2D(qa, qb, qc)
+    return (one, other), quad

@@ -2,7 +2,6 @@
 tangent slopes."""
 
 import math
-import random
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -17,8 +16,7 @@ from skewtent import (
     isolate_real_roots,
     slope_at_diagonal,
 )
-from skewtent.algebraic import _squarefree, _upoly_trim
-from skewtent.symbolic import L, parse_word
+from skewtent.algebraic import _squarefree, _upoly_divmod, _upoly_trim
 
 
 def P(d):
@@ -166,6 +164,13 @@ def test_symmetric_saddle_slope():
     assert (quad.a, quad.b, quad.c) == (2, 0, -2)
 
 
+def test_int_diagonal_point_gives_exact_slopes():
+    # a^2 - b^2 at the origin, as an int
+    (one, other), quad = slope_at_diagonal(P({(2, 0): 1, (0, 2): -1}), 0)
+    assert (one, other) == (1, -1) and all(isinstance(v, Fraction) for v in (one, other))
+    assert all(isinstance(v, Fraction) for v in (quad.a, quad.b, quad.c))
+
+
 def test_slope_requires_stationary_point():
     # away from the crossing the zero set is smooth and the first
     # differential rules: the implicit slope is reported in the error
@@ -240,131 +245,9 @@ def test_isolate_roots_numeric_path():
     assert roots[0] == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
 
 
-# ------------------------------------------------------------ Fraction reference
-#
-# Long division and Euclid over Q, and branch composition through
-# BivarPoly's ring operations: the arithmetic the integer PRS and the
-# integer branch composition replace, kept as their reference.
-
-
-def _upoly_divmod(a, b):
-    """Exact long division: (q, r) with a = q b + r and deg r < deg b."""
-    r = [Fraction(c) for c in _upoly_trim(a)]
-    b = _upoly_trim(b)
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(r) - len(b) + 1)
-    for k in range(len(r) - len(b), -1, -1):
-        c = q[k] = r[k + len(b) - 1] / b[-1]
-        for i in range(len(b)):
-            r[k + i] -= c * b[i]
-    return _upoly_trim(q), _upoly_trim(r[: len(b) - 1] or [Fraction(0)])
-
-
-def _upoly_gcd(a, b):
-    a = _upoly_trim(a)
-    b = _upoly_trim(b)
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _upoly_divmod(a, b)[1]
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def _squarefree_reference(coeffs):
-    coeffs = [Fraction(c) for c in coeffs]
-    g = _upoly_gcd(coeffs, [coeffs[i] * i for i in range(1, len(coeffs))] or [Fraction(0)])
-    return _upoly_trim(coeffs) if len(g) == 1 else _upoly_divmod(coeffs, g)[0]
-
-
-def _compose_reference(word):
-    one, a, b = BivarPoly.constant(1), BivarPoly.alpha(), BivarPoly.beta()
-    num, den = b, one
-    for s in parse_word(word):
-        if s == L:
-            num, den = num * b, den * a
-        else:
-            num, den = b * (num - den), den * (a - one)
-    return (num - a * den).normalized()
-
-
-def _reference_words():
-    rng = random.Random(12)
-    words = ["R" + "L" * k + "RC" for k in range(31)]
-    for _ in range(200):
-        words.append("R" + "".join(rng.choice("LR") for _ in range(rng.randint(0, 17))) + "C")
-    return words
-
-
-def test_integer_composition_matches_ring_operations():
-    # same coefficients, types and key order: the float evaluation of the
-    # diagonal slope sums the coefficients in key order
-    for word in _reference_words():
-        got, ref = compose_branch_condition(word), _compose_reference(word)
-        assert list(got.coeffs.items()) == list(ref.coeffs.items()), word
-        assert all(type(v) is Fraction for v in got.coeffs.values())
-
-
-def test_integer_squarefree_matches_euclid_over_q():
-    for word in _reference_words():
-        q = compose_branch_condition(word).partial("alpha").substitute_diagonal()
-        for coeffs in (q, [int(c) for c in q], [c / 7 for c in q]):
-            got = _squarefree(coeffs)
-            assert got == _squarefree_reference(coeffs), word
-            assert all(type(c) is Fraction for c in got)
-
-
-def _float_partials_reference(p, t):
-    """The five partials at (t, t) as BivarPoly.partial and evaluate give
-    them, then the first differential's scale."""
-    pa, pb = p.partial("alpha"), p.partial("beta")
-    return ([q.evaluate(t, t) for q in (pa, pb, pa.partial("alpha"), pa.partial("beta"),
-                                        pb.partial("beta"))],
-            max(1.0, max(abs(float(v)) for v in p.coeffs.values())))
-
-
-def _slope_or_refusal(p, t):
-    try:
-        return slope_at_diagonal(p, t)
-    except (ValueError, AssertionError) as exc:
-        return type(exc), str(exc)
-
-
-def test_float_slope_sums_as_partial_then_evaluate():
-    rng = random.Random(3)
-    for word in _reference_words():
-        p = compose_branch_condition(word)
-        try:
-            roots = [float(r) for r in diagonal_critical_points(p)]
-        except ValueError:
-            roots = []
-        for t in roots + [rng.uniform(0.5, 1.0)]:
-            (da, db, qa, qb, qc), scale = _float_partials_reference(p, t)
-            if abs(da) > 1e-10 * scale or abs(db) > 1e-10 * scale:
-                slope = None if db == 0 else -da / db
-                expected = ValueError, ("first differential does not vanish at the diagonal point; "
-                                        f"implicit differentiation applies instead, slope {slope}")
-                assert _slope_or_refusal(p, t) == expected
-            elif qc and abs(qa + 2 * qb + qc) <= 1e-10 * max(abs(qa), abs(qc), 1.0):
-                (one, other), quad = slope_at_diagonal(p, t)
-                assert (one, other, quad.a, quad.b, quad.c) == (1.0, qa / qc, qa, qb, qc)
-
+# ------------------------------------------------------------ long division
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-
-
-@given(st.lists(st.lists(fractions, min_size=1, max_size=3), min_size=1, max_size=4),
-       st.lists(st.integers(1, 3), min_size=4, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_squarefree_of_products_with_repeated_factors(factors, powers):
-    coeffs = [Fraction(1)]
-    for f, k in zip(factors, powers):
-        for _ in range(k):
-            coeffs = _poly_mul(coeffs, f)
-    assert _squarefree(coeffs) == _squarefree_reference(coeffs)
-
-
-# ------------------------------------------------------------ long division
 
 
 def _poly_mul(a, b):
