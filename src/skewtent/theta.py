@@ -14,11 +14,12 @@ alongside; derivatives fold S together with its Euler moments x dS/dx,
 y dS/dy and the second-order ones and follow from them by the chain rule.
 
 The input types pick one of two kernels, once per row.  Rational inputs
-(every alpha and beta an int or a Fraction) run the integer kernel: x and y
-are written over one denominator, the fold runs on integer numerators over
-a running denominator, and one Fraction is formed per result, exact.  Any
-float input runs the generic fold, which is arithmetic-generic and keeps
-its float operation order.  Both give the same guards, refusal texts,
+(every alpha and beta an int or a Fraction) run the integer kernel in
+``theta_exact``, imported only then: x and y are written over one
+denominator, the fold runs on integer numerators over a running
+denominator, and one Fraction is formed per result, exact.  Any float input
+runs the generic fold here, which is arithmetic-generic and keeps its float
+operation order.  Both give the same guards, refusal texts,
 ``error_bound`` and ``terms_used``.
 """
 
@@ -194,15 +195,6 @@ def _fold(step, us, distinct, gaps_rev, acc):
     return acc
 
 
-def _int_fold(step, vs, pws, distinct, gaps_rev, acc, one):
-    """``_fold`` on integer numerators: acc / one before a step, and u =
-    vs[i] / pws[i]; returns the numerators and their new denominator."""
-    for i in gaps_rev:
-        acc = step(vs[i], distinct[i], acc, one)
-        one *= pws[i]
-    return acc, one
-
-
 def _fixed_point_tail(a, rho, c, r: int, s: int):
     """Moments of the periodic tail T = a + rho T, that is T = c a with
     c = 1 / (1 - rho), given the first and second moments a of one
@@ -220,30 +212,10 @@ def _fixed_point_tail(a, rho, c, r: int, s: int):
             c * (a[5] + s * st * t + 2 * st * tm))
 
 
-def _int_tail(a, rn, e, r: int, s: int):
-    """``_fixed_point_tail`` on integers.  The period's moments are a / w,
-    rho = rn / w and 1 - rho = e / w, so T = a[0] / e and each order of
-    moments takes one more factor e; returns the numerators over their
-    common denominator e^(order + 1)."""
-    t = a[0]
-    if len(a) == 1:
-        return a, e
-    tk = e * a[1] + r * rn * t
-    tm = e * a[2] + s * rn * t
-    if len(a) == 3:
-        return (e * t, tk, tm), e * e
-    te, ee = e * t, e * e
-    return ((ee * t, e * tk, e * tm,
-             ee * a[3] + r * rn * (r * te + 2 * tk),
-             ee * a[4] + rn * (r * s * te + r * tm + s * tk),
-             ee * a[5] + s * rn * (s * te + 2 * tm)), ee * e)
-
-
 # refusal texts of both kernels
 _RATIO_REFUSAL = "series ratio {:.6f} >= 0.999 at alpha={}, beta={}"
 _TAIL_REFUSAL = ("periodic tail ratio has modulus >= 1",)
 _BOUND_REFUSAL = "roundoff bound {:.2e} exceeds requested tol {:.2e}"
-_RATIO_CUTOFF = (0.999).as_integer_ratio()  # the float 0.999, exactly
 
 
 def _rational(v) -> bool:
@@ -272,7 +244,8 @@ def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, order: int = 0)
     if _rational(beta):
         alphas = tuple(alphas)
         if all(map(_rational, alphas)):
-            return [_exact_moments(_exact_point(spec, alpha, beta, tol, order)) for alpha in alphas]
+            from .theta_exact import row
+            return row(spec, alphas, beta, tol, order)
     return _generic_row(spec, alphas, beta, tol, order)
 
 
@@ -325,71 +298,13 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int) -> list:
     return row
 
 
-def _exact_point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
-    """The integer kernel at one rational point.  With alpha = p/q and beta
-    = b/q, x = xn/den and y = yn/den share one denominator den > 0.  The
-    guards compare exactly, the roundoff sum takes the generic fold's
-    floats, and the fold steps integer numerators, so a refusal, the
-    ``error_bound`` and ``terms_used`` are the generic fold's.  Order 0
-    gives (value, error_bound, terms_used) with one Fraction; order 1 or 2
-    gives (moment numerators, their denominator, xn, yn, den, q, b)."""
-    if not beta:  # the generic fold raises ZeroDivisionError, as it always has
-        return _generic_row(spec, (alpha,), beta, tol, order)[0]
-    head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
-    ad, bd = alpha.denominator, beta.denominator
-    q = math.lcm(ad, bd)
-    p, b = alpha.numerator * (q // ad), beta.numerator * (q // bd)
-    xn, yn, den = (p - q, p, b) if b > 0 else (q - p, -p, -b)
-    # dominating term ratio |x| max(1, y)^{m1}
-    en, ed = (abs(xn) * yn ** m1, den ** (m1 + 1)) if yn > den else (abs(xn), den)
-    if en * _RATIO_CUTOFF[1] >= _RATIO_CUTOFF[0] * ed:
-        return (_RATIO_REFUSAL, en / ed, float(alpha), float(beta))
-    w = den ** (r + s)  # rho = rn / w and 1 - rho = e / w
-    rn = xn ** r * yn ** s
-    if abs(rn) >= w:
-        return _TAIL_REFUSAL
-    e = w - rn
-    vs, pws = [], []  # x y^g = vs[i] / pws[i] for the i-th distinct gap g
-    for gap in distinct:
-        vs.append(xn * yn ** gap)
-        pws.append(den ** (gap + 1))
-    if not order:
-        # int / int rounds as float(Fraction) does, so these are the generic floats
-        mags = [abs(v) / pw for v, pw in zip(vs, pws)]
-        mag = 0.0
-        for i in period_rev:
-            mag = mags[i] * (1 + mag)
-        mag = 3 * (w / abs(e)) * mag
-        for i in head_rev:
-            mag = mags[i] * (1 + mag)
-        bound = 8e-16 * (mag + 1.0)
-        if bound > tol:
-            return (_BOUND_REFUSAL, bound, tol)
-    step, zero = _STEPS[order]
-    acc, _ = _int_fold(step, vs, pws, distinct, period_rev, zero, 1)
-    acc, one = _int_fold(step, vs, pws, distinct, head_rev, *_int_tail(acc, rn, e, r, s))
-    if order:
-        return acc, one, xn, yn, den, q, b
-    from fractions import Fraction
-    return (Fraction((q - b) * one + q * acc[0], q * one), bound, terms)
-
-
-def _exact_moments(point):
-    """An integer-kernel point in ``theta_row``'s form: (x, y, moments) as
-    Fractions at order 1 or 2, anything else as it is."""
-    if len(point) != 7:
-        return point
-    from fractions import Fraction
-    nums, one, xn, yn, den = point[:5]
-    return Fraction(xn, den), Fraction(yn, den), tuple(Fraction(n, one) for n in nums)
-
-
 def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
     """One point through the kernel its inputs pick; a refused point raises
     ``ConvergenceError``.  At order 1 or 2 the integer kernel gives its
-    numerators, see ``_exact_point``."""
+    numerators, see ``theta_exact.point``."""
     if _rational(alpha) and _rational(beta):
-        point = _exact_point(spec, alpha, beta, tol, order)
+        from . import theta_exact
+        point = theta_exact.point(spec, alpha, beta, tol, order)
     else:
         (point,) = _generic_row(spec, (alpha,), beta, tol, order)
     if type(point[0]) is str:
@@ -426,37 +341,28 @@ def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
 def theta_grad(spec: ThetaSpec, alpha, beta):
     """First partials (d_alpha, d_beta) from the first Euler moments."""
     point = _point(spec, alpha, beta, 1)
-    if len(point) == 3:
-        x, y, (_, k, m) = point
-        d_alpha = (k / x + m / y) / beta
-        d_beta = -1 - (k + m) / beta
-        return d_alpha, d_beta
-    from fractions import Fraction
-    # the same formulas with x = xn/den, y = yn/den, beta = b/q, moments over d
-    (_, k, m), d, xn, yn, den, q, b = point
-    return Fraction(den * q * (k * yn + m * xn), d * xn * yn * b), Fraction(-(d * b + (k + m) * q), d * b)
+    if len(point) != 3:  # the integer kernel's numerators
+        from .theta_exact import grad
+        return grad(point)
+    x, y, (_, k, m) = point
+    d_alpha = (k / x + m / y) / beta
+    d_beta = -1 - (k + m) / beta
+    return d_alpha, d_beta
 
 
 def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
     """Second differential as a quadratic form; the mixed partial is
     computed once, so symmetry holds by construction."""
     point = _point(spec, alpha, beta, 2)
-    if len(point) == 3:
-        x, y, (_, k, m, kk, km, mm) = point
-        b2 = beta * beta
-        daa = ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2
-        dab = -((kk + km) / x + (km + mm) / y) / b2
-        dbb = (kk + 2 * km + mm + k + m) / b2
-        return Quadratic2D(daa, dab, dbb)
-    from fractions import Fraction
-    # the same formulas with x = xn/den, y = yn/den, beta = b/q, moments over d
-    (_, k, m, kk, km, mm), d, xn, yn, den, q, b = point
-    d = d * b * b  # each partial carries 1 / beta^2
-    return Quadratic2D(
-        Fraction((den * q) ** 2 * ((kk - k) * yn * yn + 2 * km * xn * yn + (mm - m) * xn * xn),
-                 d * (xn * yn) ** 2),
-        Fraction(-den * q * q * ((kk + km) * yn + (km + mm) * xn), d * xn * yn),
-        Fraction(q * q * (kk + 2 * km + mm + k + m), d))
+    if len(point) != 3:  # the integer kernel's numerators
+        from .theta_exact import hessian
+        return hessian(point)
+    x, y, (_, k, m, kk, km, mm) = point
+    b2 = beta * beta
+    daa = ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2
+    dab = -((kk + km) / x + (km + mm) / y) / b2
+    dbb = (kk + 2 * km + mm + k + m) / b2
+    return Quadratic2D(daa, dab, dbb)
 
 
 _FIRST_RETURN_CAP = 100_000
