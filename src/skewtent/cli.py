@@ -61,6 +61,8 @@ def cmd_knead(args) -> None:
 
 def cmd_theta(args) -> None:
     from .theta import theta_eval
+    if args.tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     spec = _spec_from_args(args)
     tv = theta_eval(spec, args.alpha, args.beta, tol=args.tol)
     _emit({

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY, Record, _set
 from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
-from .theta import ConvergenceError, ThetaSpec, sign_change_roots, theta_eval, theta_row
+from .theta import ThetaSpec, sign_change_roots, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -54,12 +54,15 @@ THEX_BETAS = (0.535, 0.7, 0.995)
 
 
 def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
+    """Theta at (alpha, beta), NaN where it is refused or there is no spec.
+
+    It reads only the value, so it runs a value-only ``theta_row``, which
+    skips the roundoff sum where a closed-form majorant already admits the
+    point; the value and the refused points are ``theta_eval``'s."""
     if spec is None:
         return NAN
-    try:
-        return theta_eval(spec, alpha, beta).value
-    except ConvergenceError:
-        return NAN
+    (point,) = theta_row(spec, (alpha,), beta, _value_only=True)
+    return NAN if type(point[0]) is str else point[0]
 
 
 def _side(alpha: float, beta: float, m: KneadingSeq) -> int:
@@ -253,7 +256,10 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     """Evaluate a field on an inclusive grid over window = (a0, a1, b0, b1).
 
     Theta fields run one ``theta_row`` per row and emit NaN where the
-    convergence guard refuses evaluation or beta = 0; the kneading-class
+    convergence guard refuses evaluation or beta = 0.  Pixels read only the
+    value, so the row is value-only: it skips the roundoff sum where a
+    closed-form majorant already admits the pixel, and every value and
+    refused pixel is the full fold's, so no pixel moves.  The kneading-class
     field emits -1 outside U and otherwise an integer id assigned per
     distinct prefix in scan order, building no ``TentParams`` per pixel.
     The field's pixel loop is chosen once per raster.
@@ -272,7 +278,7 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
         spec, sign = field.spec, isinstance(field, ThetaSignField)
         for b in betas:
             try:
-                row = theta_row(spec, alphas, b)
+                row = theta_row(spec, alphas, b, _value_only=True)
             except ZeroDivisionError:  # beta = 0, where the series is undefined
                 values.extend([NAN] * width)
                 continue

@@ -9,9 +9,18 @@ The sum S is a Horner fold
 acc -> x y^{m_k} (1 + acc) over the gaps, last to first, started from the
 periodic tail T.  The tail solves the fixed point T = a + rho T, where a is
 one fold over the period and rho = x^r y^s, so T = a / (1 - rho) and no
-truncation error is incurred.  The value fold carries its roundoff sum
-alongside; derivatives fold S together with its Euler moments x dS/dx,
+truncation error is incurred.  The value fold is followed by its roundoff
+sum, which gives ``error_bound`` and refuses a point whose bound passes
+``tol``; derivatives fold S together with its Euler moments x dS/dx,
 y dS/dy and the second-order ones and follow from them by the chain rule.
+
+Callers that read only the value, the residuals of ``curves`` (scan grid,
+scan bisection, trace nodes) and the pixels of its Theta rasters, ask for
+a value-only row: where a closed-form majorant of the roundoff sum already
+admits the point, the sum is skipped.  The sum decides wherever the
+majorant does not admit, so the value, the refused points and their texts
+are the full fold's.  ``theta_eval``, and with it every ``error_bound`` the
+CLI prints, always runs the sum.
 
 The input types pick one of two kernels, once per row.  Rational inputs
 (every alpha and beta an int or a Fraction) run the integer kernel in
@@ -229,7 +238,8 @@ def _rational(v) -> bool:
     return isinstance(v, Fraction)
 
 
-def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, order: int = 0) -> list:
+def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, order: int = 0, *,
+              _value_only: bool = False) -> list:
     """The series at each alpha of a row at one beta: the convergence
     guards, then the fold.  An admitted point gives (value, error_bound,
     terms_used) at order 0, or (x, y, moments) at order 1 or 2: S, then
@@ -240,18 +250,39 @@ def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, order: int = 0)
     summed exactly; a bound above ``tol`` refuses the point.  The row runs
     the integer kernel when beta and every alpha are rational, which gives
     Fractions, and the generic fold otherwise.
+
+    ``_value_only`` is for callers that read only the value (residuals and
+    raster pixels): the generic fold then skips its roundoff sum wherever
+    the closed-form majorant of ``_generic_row`` admits the point, and the
+    error_bound it gives there is the majorant's, which is never smaller.
+    Values, refusals and their texts are those of the full fold.
     """
     if _rational(beta):
         alphas = tuple(alphas)
         if all(map(_rational, alphas)):
             from .theta_exact import row
             return row(spec, alphas, beta, tol, order)
-    return _generic_row(spec, alphas, beta, tol, order)
+    return _generic_row(spec, alphas, beta, tol, order, _value_only)
 
 
-def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int) -> list:
+# The majorant's margin over rounding: the roundoff sum's own, a factor
+# (1 + 2^-53)^(2 (H + P) + 1) for H head and P period gaps, and the few
+# roundings of the majorant itself; ample below 10^12 gaps.
+_MAJORANT_MARGIN = 1.001
+
+
+def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
+                 value_only: bool = False) -> list:
     """``theta_row``'s fold in the arithmetic of its inputs; on Fraction
-    inputs it is the reference for the integer kernel."""
+    inputs it is the reference for the integer kernel.
+
+    The roundoff sum folds mag -> |u| (1 + mag) as the value folds.  With
+    M = max |u| < 1 and q = M / (1 - M), it is at most q + 3 |c| q M^H
+    over H head gaps, and the margin covers its rounding, which is
+    monotone.  So when ``value_only`` is set and that majorant, scaled by
+    the margin, admits the point, the sum is skipped: the point is
+    admitted by the sum too.  Otherwise (M >= 1, NaN, or a majorant above
+    ``tol``) the sum runs and decides, so the refusals do not move."""
     head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
     row = []
     for alpha in alphas:
@@ -278,17 +309,27 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int) -> list:
             tail = _fixed_point_tail(_fold(step, us, distinct, period_rev, zero), rho, c, r, s)
             row.append((x, y, _fold(step, us, distinct, head_rev, tail)))
             continue
+        acc = 0
+        for i in period_rev:
+            acc = us[i] * (1 + acc)
+        acc = c * acc
+        for i in head_rev:
+            acc = us[i] * (1 + acc)
         mags = []  # mags[i] = |us[i]|
         for u in us:
             mags.append(abs(float(u)))
-        acc, mag = 0, 0.0
+        weight = 3 * abs(float(c))  # the tail's first period, weighted 3 |1/(1 - rho)|
+        if value_only and (top := max(mags)) < 1:
+            q = top / (1 - top)
+            bound = 8e-16 * ((q + weight * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
+            if bound <= tol:
+                row.append((1 - beta + acc, bound, terms))
+                continue
+        mag = 0.0
         for i in period_rev:
-            acc = us[i] * (1 + acc)
             mag = mags[i] * (1 + mag)
-        acc = c * acc
-        mag = 3 * abs(float(c)) * mag  # the tail's first period, weighted 3 |1/(1 - rho)|
+        mag = weight * mag
         for i in head_rev:
-            acc = us[i] * (1 + acc)
             mag = mags[i] * (1 + mag)
         bound = 8e-16 * (mag + 1.0)
         if bound > tol:

@@ -227,6 +227,10 @@ def test_error_is_machine_readable():
     (["counterexample", "--preset", "thex", "--beta-lo", "0.6", "--beta-hi", "1.5"],
      "beta range [0.6, 1.5]"),
     (["counterexample", "--preset", "thex", "--alpha0", "1.2"], "alpha0 in (0,1)"),
+    (["theta", "--preset", "thex", "--alpha", "0.5", "--beta", "0.7", "--tol", "0"],
+     "--tol must be positive, got 0.0"),
+    (["theta", "--preset", "thex", "--alpha", "0.5", "--beta", "0.7", "--tol", "-1"],
+     "--tol must be positive, got -1.0"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)

@@ -7,6 +7,7 @@ import pytest
 
 from skewtent import (
     BracketError,
+    ConvergenceError,
     KneadingClassField,
     TentParams,
     ThetaSignField,
@@ -25,6 +26,7 @@ from skewtent import (
 )
 from skewtent import curves
 from skewtent.curves import THEX_ALPHA0, trace_csv
+from skewtent.theta import sign_change_roots
 
 
 # ------------------------------------------------------------ bisection
@@ -239,6 +241,48 @@ def test_scan_refuses_points_outside_the_parameter_square(monkeypatch, alpha0, l
 def test_scan_order_check_comes_first():
     with pytest.raises(ValueError, match="need beta_lo < beta_hi, got 1.5 and -0.5"):
         counterexample_scan(thex_spec(), 2.0, 1.5, -0.5)
+
+
+def _theta_or_nan(spec, a, b):
+    try:
+        return theta_eval(spec, a, b).value
+    except ConvergenceError:
+        return math.nan
+
+
+@pytest.mark.parametrize("alpha0, lo, hi", [(THEX_ALPHA0, 0.535, 0.995), (0.52, 0.3, 1.0)])
+def test_scan_residuals_are_theta_eval_values(monkeypatch, alpha0, lo, hi):
+    # every grid and bisection residual has theta_eval's value bits, and is
+    # NaN exactly where theta_eval refuses
+    seen = []
+
+    def recording(f, xs):
+        def g(t):
+            seen.append((t, f(t)))
+            return seen[-1][1]
+        return sign_change_roots(g, xs)
+
+    monkeypatch.setattr(curves, "sign_change_roots", recording)
+    spec = thex_spec()
+    assert counterexample_scan(spec, alpha0, lo, hi)
+    assert len(seen) > 400
+    for t, v in seen:
+        assert v.hex() == _theta_or_nan(spec, alpha0, t).hex()
+    if alpha0 == 0.52:  # below beta = 1 - alpha0 the ratio guard refuses
+        assert any(math.isnan(v) for _, v in seen)
+
+
+@pytest.mark.parametrize("word", ["RLC", "RLLRC"])
+def test_trace_residuals_are_theta_eval_values(word):
+    m = parse_seq(word)
+    spec = ThetaSpec.from_seq(m)
+    points = trace_isentrope(m, [0.4 + 0.3 * i / 40 for i in range(41)])
+    assert sum(math.isfinite(p.beta) for p in points) > 10
+    for p in points:
+        if math.isfinite(p.beta):
+            assert p.residual_theta.hex() == _theta_or_nan(spec, p.alpha, p.beta).hex()
+        else:
+            assert math.isnan(p.residual_theta)
 
 
 def test_theta_nonvanishing_above_curve():

@@ -31,7 +31,7 @@ from skewtent import (
     thex_spec,
 )
 from skewtent.cli import main as cli_main
-from skewtent.theta import _generic_row, sign_change_roots, theta_row
+from skewtent.theta import _BOUND_REFUSAL, _generic_row, sign_change_roots, theta_row
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
 RLLRC = ThetaSpec.from_seq(parse_seq("RLLRC"))
@@ -362,6 +362,86 @@ def test_float_and_mixed_inputs_take_the_generic_fold():
         assert type(theta_eval(THEX, a, b).value) is float
     assert theta_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5)) == _generic_row(
         THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0)
+
+
+# ------------------------------------------------------------ value-only rows
+
+
+@st.composite
+def float_points(draw):
+    """A float point of U, of the diagonal, of U near the ratio guard (|x|
+    from 0.99 to 0.9995), with alpha > beta (y > 1), of U mirrored to
+    beta < 0 (y < -1, where max |u| can pass 1), of the refused corner
+    below alpha = 1 - beta, or of the square [-1, 1]^2 without beta = 0."""
+    region = draw(st.sampled_from(["U", "diagonal", "guard", "above", "mirror", "corner", "square"]))
+    b = draw(st.floats(0.5, 1.0, exclude_min=True))
+    if region == "diagonal":
+        return b, b
+    if region == "guard":
+        return 1 - draw(st.floats(0.99, 0.9995)) * b, b
+    if region == "above":
+        return draw(st.floats(b, 1.0)), b
+    if region == "corner":
+        return draw(st.floats(0.0, 1 - b)), b
+    if region == "square":
+        return draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0).filter(bool))
+    a = (1 - b) + draw(st.floats(0.0, 1.0)) * (2 * b - 1)
+    return (b, -a) if region == "mirror" and a else (a, b)
+
+
+def _value_only_matches(spec, a, b, tol):
+    """The value-only row at (a, b) against theta_eval: the same value
+    bits and terms_used, an error_bound never below theta_eval's, or the
+    same exception with the same text.  Returns the value-only point, or
+    None where both raised OverflowError."""
+    try:
+        ref = theta_eval(spec, a, b, tol)
+    except ConvergenceError as exc:
+        (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
+        assert type(got[0]) is str and got[0].format(*got[1:]) == str(exc)
+        return got
+    except OverflowError:  # y^g past float range where y < -1
+        with pytest.raises(OverflowError):
+            theta_row(spec, (a,), b, tol, _value_only=True)
+        return None
+    (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
+    assert got[0].hex() == ref.value.hex() and got[2] == ref.terms_used
+    assert got[1] >= ref.error_bound
+    return got
+
+
+def test_value_only_row_matches_theta_eval():
+    # at tol 1e-12, 1e-20 (where no majorant admits) or the roundoff sum's
+    # own bound; and at every admitted point also just below that bound,
+    # where the sum refuses, so a majorant that undercuts it would not
+    ran = set()
+
+    @given(gap_specs(), float_points(), st.sampled_from([1e-12, 1e-20, None]))
+    @settings(max_examples=800, deadline=None)
+    def check(spec, point, tol):
+        a, b = point
+        if tol is None:
+            with contextlib.suppress(ConvergenceError, OverflowError):
+                tol = theta_eval(spec, a, b, math.inf).error_bound
+        got = _value_only_matches(spec, a, b, 1e-12 if tol is None else tol)
+        if got is None:
+            return
+        if type(got[0]) is str:
+            if got[0] == _BOUND_REFUSAL:
+                ran.add("full")  # only the roundoff sum refuses on the bound
+            return
+        bound = theta_eval(spec, a, b, math.inf).error_bound
+        ran.add("skipped" if got[1] > bound else "full")
+        assert type(_value_only_matches(spec, a, b, math.nextafter(bound, 0))[0]) is str
+
+    check()
+    assert ran == {"skipped", "full"}
+    # thex on the diagonal: |u| = |x| for all 47 head gaps, and the sum
+    # comes within its own rounding of the majorant
+    for i in range(1, 400):
+        b = 0.5 + i / 800
+        bound = theta_eval(THEX, b, b, math.inf).error_bound
+        assert type(_value_only_matches(THEX, b, b, math.nextafter(bound, 0))[0]) is str
 
 
 def test_a_large_gap_costs_no_table_of_its_size():
