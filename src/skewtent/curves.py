@@ -261,8 +261,11 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     closed-form majorant already admits the pixel, and every value and
     refused pixel is the full fold's, so no pixel moves.  The kneading-class
     field emits -1 outside U and otherwise an integer id assigned per
-    distinct prefix in scan order, building no ``TentParams`` per pixel.
-    The field's pixel loop is chosen once per raster.
+    distinct prefix in scan order, building no ``TentParams`` per pixel:
+    the beta half of the U test (0.5 < beta <= 1, and 1 - beta) is made
+    once per row, and a row outside it is all -1.  Each prefix is one
+    ``kneading_prefix_at`` walk, which classifies each iterate with one
+    comparison chain.  The field's pixel loop is chosen once per raster.
     """
     a0, a1, b0, b1 = window
     if width < 2 or height < 2:
@@ -287,8 +290,12 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     elif isinstance(field, KneadingClassField):
         class_ids: dict[str, int] = {}
         for b in betas:
+            if not (2 * b > 1 and b <= 1):  # the row's half of TentParams(a, b).in_u
+                values.extend([-1.0] * width)
+                continue
+            lo = 1 - b
             for a in alphas:
-                if not (2 * b > 1 and b <= 1 and 1 - b < a < b):  # TentParams(a, b).in_u
+                if not lo < a < b:
                     values.append(-1.0)
                     continue
                 key = "".join(kneading_prefix_at(a, b, field.depth))

@@ -3,6 +3,14 @@ sequences, the (lambda, mu) slope coordinates and a lap-count entropy
 estimator.  A kneading probe (``kneading_order_at``) reads the critical
 orbit only up to the first symbol that decides its order against a target.
 
+The two orbit walkers, ``kneading_prefix_at`` and ``kneading_order_at``,
+take alpha in (0, 1) and refuse any other with ``ValueError``.  They
+classify each iterate x once, by the comparison chain x < alpha, x >
+alpha, x == alpha, then NaN.  The side fixes the C band test (alpha - x
+or x - alpha against ``eps_c``, made only for a nonzero ``eps_c``), the
+one [0, 1] guard compare that can fire there (x < 0 on the left, x > 1
+on the right) and the branch that moves x.
+
 All arithmetic is type generic: passing ``fractions.Fraction`` parameters
 gives exact orbits, floats give the usual double precision ones.
 """
@@ -96,57 +104,94 @@ def kneading_prefix(p: TentParams, n: int, eps_c=0) -> list[str]:
 
 
 def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
-    """``kneading_prefix`` at the turning point (alpha, beta), which is not
-    validated: callers check it, or the orbit check below refuses it."""
+    """``kneading_prefix`` at the turning point (alpha, beta).  Beta is not
+    checked: the guard refuses an orbit that leaves [0, 1].  Alpha is
+    checked after the slopes are made, so alpha = 0 or 1 raises
+    ``ZeroDivisionError``.
+
+    A side's band test is ``abs(x - alpha) <= eps_c`` bit for bit, as
+    fl(alpha - x) = -fl(x - alpha); at ``eps_c`` = 0 only x == alpha is C.
+    There C needs ``eps_c`` >= 0; otherwise, as for a NaN x, the symbol is
+    R and x moves by the left slope.
+    """
     syms: list[str] = []
     x = beta
     lam, mu = x / alpha, x / (1 - alpha)  # the slopes of tent_eval, inlined below
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     for _ in range(n):
-        if abs(x - alpha) <= eps_c:
-            syms.append(C)
+        if x < alpha:
+            if eps_c and alpha - x <= eps_c:
+                break
+            if x < 0:
+                raise ValueError(f"x={x} outside [0,1]")
+            syms.append(L)
+            x = lam * x
+        elif x > alpha:
+            if eps_c and x - alpha <= eps_c:
+                break
+            if x > 1:
+                raise ValueError(f"x={x} outside [0,1]")
+            syms.append(R)
+            x = mu * (1 - x)
+        elif x == alpha and eps_c >= 0:
             break
-        syms.append(L if x < alpha else R)
-        if x < 0 or x > 1:
-            raise ValueError(f"x={x} outside [0,1]")
-        x = lam * x if x <= alpha else mu * (1 - x)
+        else:
+            syms.append(R)
+            x = lam * x
+    else:
+        return syms
+    syms.append(C)  # the orbit met the C band
     return syms
 
 
 def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
     """Parity order (LESS, EQUAL or GREATER) of the kneading sequence at the
-    turning point (alpha, beta), unchecked as in ``kneading_prefix_at``,
+    turning point (alpha, beta), checked as in ``kneading_prefix_at``,
     against the symbol string ``target``.
 
-    Each symbol is compared with ``target`` as soon as it is made, and the
-    orbit is read only up to the symbol that decides the order: the first
-    difference (L < C < R, reversed after an odd number of shared R's), a
-    shared C or the end of ``target``.  The answer is the parity order of
+    Each symbol is made by ``kneading_prefix_at``'s comparison chain and
+    compared with ``target`` at once, and the orbit is read only up to the
+    symbol that decides the order: the first difference (L < C < R,
+    reversed after an odd number of shared R's), a shared C or the end of
+    ``target``.  The answer is the parity order of
     ``kneading_prefix_at(alpha, beta, len(target), eps_c)`` against
     ``target``, but the [0, 1] guard, which never fires at a ``TentParams``
     point, covers only the symbols read: no later iterate is made.
     """
     x = beta
     lam, mu = x / alpha, x / (1 - alpha)
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     odd = False  # the symbols read so far hold an odd number of R's
     for t in target:
-        if abs(x - alpha) <= eps_c:
-            if t == C:
-                return EQUAL
-            d = GREATER if t == L else LESS
-        else:
-            if x < 0 or x > 1:
-                raise ValueError(f"x={x} outside [0,1]")
-            if x < alpha:
-                if t == L:
-                    x = lam * x
-                    continue
-                d = LESS
-            elif t == R:
-                odd = not odd
-                x = lam * x if x <= alpha else mu * (1 - x)  # x == alpha only if eps_c < 0
+        if x < alpha:
+            if not (eps_c and alpha - x <= eps_c):
+                if x < 0:
+                    raise ValueError(f"x={x} outside [0,1]")
+                if t != L:
+                    return GREATER if odd else LESS
+                x = lam * x
                 continue
-            else:
-                d = GREATER
+        elif x > alpha:
+            if not (eps_c and x - alpha <= eps_c):
+                if x > 1:
+                    raise ValueError(f"x={x} outside [0,1]")
+                if t != R:
+                    return LESS if odd else GREATER
+                odd = not odd
+                x = mu * (1 - x)
+                continue
+        elif not (x == alpha and eps_c >= 0):  # NaN, or x == alpha with eps_c < 0 or NaN: R
+            if t != R:
+                return LESS if odd else GREATER
+            odd = not odd
+            x = lam * x
+            continue
+        # the symbol is C
+        if t == C:
+            return EQUAL
+        d = GREATER if t == L else LESS
         return -d if odd else d
     return EQUAL
 

@@ -296,14 +296,18 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         if eta >= 0.999:
             row.append((_RATIO_REFUSAL, float(eta), float(alpha), float(beta)))
             continue
-        rho = x ** r * y ** s
-        if abs(rho) >= 1:
-            row.append(_TAIL_REFUSAL)
+        try:
+            rho = x ** r * y ** s
+            if abs(rho) >= 1:
+                row.append(_TAIL_REFUSAL)
+                continue
+            us = []  # us[i] = x y^g for the i-th distinct gap g
+            for gap in distinct:
+                us.append(x * y ** gap)
+        except OverflowError:  # a power past float range (y < -1), refused as y ** m1 is
+            row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
             continue
         c = 1 / (1 - rho)
-        us = []  # us[i] = x y^g for the i-th distinct gap g
-        for gap in distinct:
-            us.append(x * y ** gap)
         if order:
             step, zero = _STEPS[order]
             tail = _fixed_point_tail(_fold(step, us, distinct, period_rev, zero), rho, c, r, s)

@@ -170,6 +170,17 @@ def test_raster_refuses_tiny_beta_pixels(tmp_path):
     assert data == b"P5\n4 4\n255\n" + bytes([255] * 16)
 
 
+def test_raster_refuses_negative_tiny_beta_pixels(tmp_path):
+    # y = alpha / beta < -1 and y^2 passes float range: refused pixels, not
+    # an OverflowError that loses the raster
+    rc, out, err = run_cli(["raster", "--field", "theta_sign", "--gaps", "gaps=2;tail=R",
+                            "--window=0.9,1.0,-1e-200,-1e-201", "--size", "4x3",
+                            "--out", str(tmp_path / "r")])
+    assert (rc, err) == (0, "")
+    data = (tmp_path / "r.pgm").read_bytes()
+    assert data == b"P5\n4 3\n255\n" + bytes([255] * 12)
+
+
 def test_raster_csv(tmp_path):
     rc, out, _ = run_cli([
         "raster", "--field", "kneading_class", "--depth", "4",
@@ -231,6 +242,8 @@ def test_error_is_machine_readable():
      "--tol must be positive, got 0.0"),
     (["theta", "--preset", "thex", "--alpha", "0.5", "--beta", "0.7", "--tol", "-1"],
      "--tol must be positive, got -1.0"),
+    (["theta", "--gaps", "gaps=2;tail=R", "--alpha", "1", "--beta=-1e-200"],
+     "series ratio inf >= 0.999 at alpha=1.0, beta=-1e-200"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)

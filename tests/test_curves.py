@@ -402,6 +402,19 @@ def test_raster_refuses_ratio_past_float_range():
     assert all(math.isnan(v) for v in g.values)
 
 
+def test_raster_refuses_powers_past_float_range_row_by_row():
+    # at beta = -1e-200 (the top row), y = alpha / beta < -1 and y^2 passes
+    # float range in the per-gap table: that row is refused, the others drawn
+    spec = ThetaSpec.from_text("gaps=2;tail=R")
+    g = raster(ThetaValueField(spec), (0.5, 1.0, -0.9, -1e-200), 4, 3)
+    alphas, betas = g.axes()
+    assert betas == [-1e-200, -0.45, -0.9]
+    assert all(math.isnan(v) for v in g.values[:4])
+    assert list(g.values[8:]) == [theta_eval(spec, a, -0.9).value for a in alphas]
+    with pytest.raises(ConvergenceError, match="series ratio inf >= 0.999 at alpha=1.0, beta=-1e-200"):
+        theta_eval(spec, 1.0, -1e-200)
+
+
 def test_pgm_deterministic(tmp_path):
     spec = thex_spec()
     g1 = raster(ThetaSignField(spec), (0.3, 0.9, 0.55, 0.99), 32, 32)

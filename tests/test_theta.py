@@ -392,19 +392,21 @@ def float_points(draw):
 def _value_only_matches(spec, a, b, tol):
     """The value-only row at (a, b) against theta_eval: the same value
     bits and terms_used, an error_bound never below theta_eval's, or the
-    same exception with the same text.  Returns the value-only point, or
-    None where both raised OverflowError."""
+    same refusal with the same text.  Neither path raises OverflowError: a
+    power past float range (y < -1) is refused as ratio inf.  Returns the
+    value-only point."""
     try:
         ref = theta_eval(spec, a, b, tol)
     except ConvergenceError as exc:
         (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
         assert type(got[0]) is str and got[0].format(*got[1:]) == str(exc)
         return got
-    except OverflowError:  # y^g past float range where y < -1
-        with pytest.raises(OverflowError):
-            theta_row(spec, (a,), b, tol, _value_only=True)
-        return None
-    (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
+    except OverflowError:
+        pytest.fail(f"theta_eval raised OverflowError at {(a, b)}")
+    try:
+        (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
+    except OverflowError:
+        pytest.fail(f"the value-only row raised OverflowError at {(a, b)}")
     assert got[0].hex() == ref.value.hex() and got[2] == ref.terms_used
     assert got[1] >= ref.error_bound
     return got
@@ -421,11 +423,9 @@ def test_value_only_row_matches_theta_eval():
     def check(spec, point, tol):
         a, b = point
         if tol is None:
-            with contextlib.suppress(ConvergenceError, OverflowError):
+            with contextlib.suppress(ConvergenceError):
                 tol = theta_eval(spec, a, b, math.inf).error_bound
         got = _value_only_matches(spec, a, b, 1e-12 if tol is None else tol)
-        if got is None:
-            return
         if type(got[0]) is str:
             if got[0] == _BOUND_REFUSAL:
                 ran.add("full")  # only the roundoff sum refuses on the bound
