@@ -10,9 +10,8 @@ import importlib
 _EXPORTS = {
     "symbolic": "C EQUAL GREATER GapSeq KneadingSeq L LESS R RL_INFINITY compare compare_prefix "
                 "doubling_limit_prefix format_seq gap_decomposition in_class_M is_maximal "
-                "minus_variant parse_seq parse_word shift star_product",
-    "tentmap": "LambdaMu LapOverflowError TentParams branch entropy_lap extended_itinerary "
-               "from_lambda_mu kneading_prefix lap_counts orbit tent_eval to_lambda_mu",
+                "minus_variant parse_seq parse_word star_product",
+    "tentmap": "LapOverflowError TentParams entropy_lap kneading_prefix lap_counts orbit tent_eval",
     "theta": "ConvergenceError Quadratic2D ThetaSpec ThetaValue diagonal_stationary_beta "
              "m1_first_return theta_eval theta_grad theta_hessian theta_partial_sum thex_spec "
              "exceptional_spec",

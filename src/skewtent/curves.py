@@ -56,12 +56,12 @@ THEX_BETAS = (0.535, 0.7, 0.995)
 def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
     """Theta at (alpha, beta), NaN where it is refused or there is no spec.
 
-    It reads only the value, so it runs a value-only ``theta_row``, which
-    skips the roundoff sum where a closed-form majorant already admits the
-    point; the value and the refused points are ``theta_eval``'s."""
+    It reads only the value, so it runs ``theta_row``, which skips the
+    roundoff sum where a closed-form majorant already admits the point; the
+    value and the refused points are ``theta_eval``'s."""
     if spec is None:
         return NAN
-    (point,) = theta_row(spec, (alpha,), beta, _value_only=True)
+    (point,) = theta_row(spec, (alpha,), beta)
     return NAN if type(point[0]) is str else point[0]
 
 
@@ -257,8 +257,8 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
 
     Theta fields run one ``theta_row`` per row and emit NaN where the
     convergence guard refuses evaluation or beta = 0.  Pixels read only the
-    value, so the row is value-only: it skips the roundoff sum where a
-    closed-form majorant already admits the pixel, and every value and
+    value, and ``theta_row`` is value-only: it skips the roundoff sum where
+    a closed-form majorant already admits the pixel, and every value and
     refused pixel is the full fold's, so no pixel moves.  The kneading-class
     field emits -1 outside U and otherwise an integer id assigned per
     distinct prefix in scan order, building no ``TentParams`` per pixel:
@@ -281,7 +281,7 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
         spec, sign = field.spec, isinstance(field, ThetaSignField)
         for b in betas:
             try:
-                row = theta_row(spec, alphas, b, _value_only=True)
+                row = theta_row(spec, alphas, b)
             except ZeroDivisionError:  # beta = 0, where the series is undefined
                 values.extend([NAN] * width)
                 continue

@@ -140,14 +140,6 @@ class KneadingSeq(Record):
             raise ValueError("infinite sequence has no finite length")
         return len(self.pre) + 1
 
-    def symbol_at(self, i: int) -> str | None:
-        """Symbol at index i, or None past the terminal C."""
-        if i < len(self.pre):
-            return self.pre[i]
-        if self.period is not None:
-            return self.period[(i - len(self.pre)) % len(self.period)]
-        return C if i == len(self.pre) else None
-
     def text(self, n: int) -> str:
         """The first n symbols as a string, shorter when the C comes first."""
         head, tail = self._head, self._tail
@@ -210,6 +202,9 @@ def _parity_order(a: str, b: str) -> int:
     At the first differing index the symbol order L < C < R applies,
     reversed when the common prefix holds an odd number of R's.  Agreement
     through a common C, or through the shorter string, gives EQUAL.
+
+    ``tentmap.kneading_order_at`` is the same rule with another input: it
+    reads the first string off a critical orbit as it walks it.
     """
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -252,22 +247,7 @@ def compare_prefix(symbols: Sequence[str], target: KneadingSeq) -> int:
     return _parity_order(syms, target.text(len(syms)))
 
 
-# -- shift and maximality --------------------------------------------------
-
-
-def shift(a: KneadingSeq, k: int) -> KneadingSeq:
-    """Drop the first k symbols and re-canonicalize."""
-    if k < 0:
-        raise ValueError("shift count must be nonnegative")
-    if a.is_finite:
-        if k > a.finite_length:
-            raise ValueError(f"shift {k} exceeds finite length {a.finite_length}")
-        # shifting to or past the C leaves the empty C-terminated word
-        return KneadingSeq(a.pre[k:], None)
-    if k <= len(a.pre):
-        return KneadingSeq(a.pre[k:], a.period)
-    r = (k - len(a.pre)) % len(a.period)
-    return KneadingSeq((), a.period[r:] + a.period[:r])
+# -- maximality ------------------------------------------------------------
 
 
 def is_maximal(a: KneadingSeq) -> bool:
@@ -367,14 +347,6 @@ class GapSeq(Record):
     def m1(self) -> int:
         return self.head[0] if self.head else self.period[0]
 
-    def gap(self, k: int) -> int:
-        """m_k for k >= 1."""
-        if k < 1:
-            raise ValueError("gap index starts at 1")
-        if k <= len(self.head):
-            return self.head[k - 1]
-        return self.period[(k - len(self.head) - 1) % len(self.period)]
-
     def cum(self, k: int) -> int:
         """Cumulative sum of the first k gaps."""
         if k < 0:
@@ -386,10 +358,6 @@ class GapSeq(Record):
         r = len(self.period)
         s = sum(self.period)
         return sum(self.head) + (j // r) * s + sum(self.period[: j % r])
-
-    def symbols(self, n: int) -> list[str]:
-        """First n symbols of the encoded sequence."""
-        return self.to_kneading().prefix(n)
 
     def to_kneading(self) -> KneadingSeq:
         def runs(gaps: tuple[int, ...]) -> str:
@@ -429,7 +397,7 @@ def gap_decomposition(m: KneadingSeq) -> GapSeq:
     """
     if m.is_finite:
         raise ValueError("gap decomposition needs an infinite sequence")
-    if m.symbol_at(0) != R:
+    if m.text(1) != R:
         raise ValueError("sequence must start with R")
     if all(s == L for s in m.period):
         raise ValueError("sequence ends in L^inf, gaps not representable")

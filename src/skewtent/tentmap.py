@@ -1,7 +1,7 @@
-"""The skew tent map family: evaluation, orbits, itineraries, kneading
-sequences, the (lambda, mu) slope coordinates and a lap-count entropy
-estimator.  A kneading probe (``kneading_order_at``) reads the critical
-orbit only up to the first symbol that decides its order against a target.
+"""The skew tent map family: evaluation, orbits, kneading sequences and a
+lap-count entropy estimator.  A kneading probe (``kneading_order_at``)
+reads the critical orbit only up to the first symbol that decides its
+order against a target.
 
 The two orbit walkers, ``kneading_prefix_at`` and ``kneading_order_at``,
 take alpha in (0, 1) and refuse any other with ``ValueError``.  They
@@ -46,16 +46,6 @@ class TentParams(Record):
         return 2 * b > 1 and b <= 1 and 1 - b < a < b
 
 
-class LambdaMu(Record):
-    """Slope coordinates lambda = beta/alpha, mu = beta/(1-alpha)."""
-
-    __slots__ = _fields = ("lam", "mu")
-
-    def __init__(self, lam: float, mu: float) -> None:
-        _set(self, "lam", lam)
-        _set(self, "mu", mu)
-
-
 def tent_eval(p: TentParams, x):
     """T(x): rising branch of slope beta/alpha up to alpha, then falling."""
     if x < 0 or x > 1:
@@ -65,15 +55,6 @@ def tent_eval(p: TentParams, x):
     return (p.beta / (1 - p.alpha)) * (1 - x)
 
 
-def branch(p: TentParams, symbol: str, x):
-    """The affine branch map named by L or R, unclamped (defined on all reals)."""
-    if symbol == L:
-        return (p.beta / p.alpha) * x
-    if symbol == R:
-        return p.beta * (x - 1) / (p.alpha - 1)
-    raise ValueError(f"branch symbol must be L or R, got {symbol!r}")
-
-
 def orbit(p: TentParams, x, n: int) -> list:
     """[x, T(x), ..., T^n(x)]."""
     out = [x]
@@ -81,21 +62,6 @@ def orbit(p: TentParams, x, n: int) -> list:
         x = tent_eval(p, x)
         out.append(x)
     return out
-
-
-def extended_itinerary(p: TentParams, x, n: int) -> list[str]:
-    """Symbols of x, T(x), ... relative to alpha; iteration continues
-    through C symbols (T(alpha) = beta)."""
-    syms: list[str] = []
-    for _ in range(n):
-        if x == p.alpha:
-            syms.append(C)
-        elif x < p.alpha:
-            syms.append(L)
-        else:
-            syms.append(R)
-        x = tent_eval(p, x)
-    return syms
 
 
 def kneading_prefix(p: TentParams, n: int, eps_c=0) -> list[str]:
@@ -158,6 +124,10 @@ def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
     ``kneading_prefix_at(alpha, beta, len(target), eps_c)`` against
     ``target``, but the [0, 1] guard, which never fires at a ``TentParams``
     point, covers only the symbols read: no later iterate is made.
+
+    This is the rule of ``symbolic._parity_order`` with another input: that
+    one reads two symbol strings, this one an orbit against a string.
+    ``tests/test_kneading_order.py`` holds the two to the same answers.
     """
     x = beta
     lam, mu = x / alpha, x / (1 - alpha)
@@ -194,18 +164,6 @@ def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
         d = GREATER if t == L else LESS
         return -d if odd else d
     return EQUAL
-
-
-def to_lambda_mu(p: TentParams) -> LambdaMu:
-    return LambdaMu(p.beta / p.alpha, p.beta / (1 - p.alpha))
-
-
-def from_lambda_mu(lm: LambdaMu) -> TentParams:
-    inv = 1 / lm.lam + 1 / lm.mu
-    if inv <= 0:
-        raise ValueError("degenerate slope coordinates")
-    beta = 1 / inv
-    return TentParams(beta / lm.lam, beta)
 
 
 class LapOverflowError(RuntimeError):

@@ -3,9 +3,9 @@ with x = (alpha-1)/beta and y = alpha/beta, built from the gap structure of
 a kneading sequence.  It vanishes on the equi-kneading curve of its sequence
 (and possibly elsewhere, which is the interesting part).
 
-Value, gradient and Hessian share one engine, ``theta_row``: the fold runs
-over a row of alphas at one beta, and ``theta_eval`` is a one-point row.
-The sum S is a Horner fold
+Value, gradient and Hessian share one engine, ``_generic_row``: the fold
+runs over a row of alphas at one beta, and ``theta_eval``, ``theta_grad``
+and ``theta_hessian`` take one point.  The sum S is a Horner fold
 acc -> x y^{m_k} (1 + acc) over the gaps, last to first, started from the
 periodic tail T.  The tail solves the fixed point T = a + rho T, where a is
 one fold over the period and rho = x^r y^s, so T = a / (1 - rho) and no
@@ -15,16 +15,16 @@ sum, which gives ``error_bound`` and refuses a point whose bound passes
 y dS/dy and the second-order ones and follow from them by the chain rule.
 
 Callers that read only the value, the residuals of ``curves`` (scan grid,
-scan bisection, trace nodes) and the pixels of its Theta rasters, ask for
-a value-only row: where a closed-form majorant of the roundoff sum already
-admits the point, the sum is skipped.  The sum decides wherever the
-majorant does not admit, so the value, the refused points and their texts
-are the full fold's.  ``theta_eval``, and with it every ``error_bound`` the
-CLI prints, always runs the sum.
+scan bisection, trace nodes) and the pixels of its Theta rasters, call
+``theta_row``, a value-only row at tol 1e-12: where a closed-form majorant
+of the roundoff sum already admits the point, the sum is skipped.  The sum
+decides wherever the majorant does not admit, so the value, the refused
+points and their texts are the full fold's.  ``theta_eval``, and with it
+every ``error_bound`` the CLI prints, always runs the sum.
 
-The input types pick one of two kernels, once per row.  Rational inputs
-(every alpha and beta an int or a Fraction) run the integer kernel in
-``theta_exact``, imported only then: x and y are written over one
+The input types pick one of two kernels, once per row or point.  Rational
+inputs (every alpha and beta an int or a Fraction) run the integer kernel
+in ``theta_exact``, imported only then: x and y are written over one
 denominator, the fold runs on integer numerators over a running
 denominator, and one Fraction is formed per result, exact.  Any float input
 runs the generic fold here, which is arithmetic-generic and keeps its float
@@ -238,31 +238,19 @@ def _rational(v) -> bool:
     return isinstance(v, Fraction)
 
 
-def theta_row(spec: ThetaSpec, alphas, beta, tol: float = 1e-12, order: int = 0, *,
-              _value_only: bool = False) -> list:
-    """The series at each alpha of a row at one beta: the convergence
-    guards, then the fold.  An admitted point gives (value, error_bound,
-    terms_used) at order 0, or (x, y, moments) at order 1 or 2: S, then
-    S_k = x dS/dx and S_m = y dS/dy, then S_kk, S_km and S_mm, the series
-    with each term weighted by k, mbar_k, k^2, k mbar_k and mbar_k^2.  A
-    refused point is not raised: it gives its message as a format string
-    and arguments.  The error bound covers roundoff only, as the tail is
-    summed exactly; a bound above ``tol`` refuses the point.  The row runs
-    the integer kernel when beta and every alpha are rational, which gives
-    Fractions, and the generic fold otherwise.
-
-    ``_value_only`` is for callers that read only the value (residuals and
-    raster pixels): the generic fold then skips its roundoff sum wherever
-    the closed-form majorant of ``_generic_row`` admits the point, and the
-    error_bound it gives there is the majorant's, which is never smaller.
-    Values, refusals and their texts are those of the full fold.
-    """
+def theta_row(spec: ThetaSpec, alphas, beta) -> list:
+    """The value at each alpha of a row at one beta, at tol 1e-12, each
+    point as ``_generic_row`` gives it at order 0, for callers that read
+    only the value (residuals and raster pixels).  Rational inputs run the
+    integer kernel.  Any float input runs the generic fold value only: it
+    skips the roundoff sum where the majorant admits the point, so the
+    error_bound there is the majorant's, never smaller than the sum's."""
     if _rational(beta):
         alphas = tuple(alphas)
         if all(map(_rational, alphas)):
-            from .theta_exact import row
-            return row(spec, alphas, beta, tol, order)
-    return _generic_row(spec, alphas, beta, tol, order, _value_only)
+            from .theta_exact import point
+            return [point(spec, alpha, beta, 1e-12, 0) for alpha in alphas]
+    return _generic_row(spec, alphas, beta, 1e-12, 0, True)
 
 
 # The majorant's margin over rounding: the roundoff sum's own, a factor
@@ -273,8 +261,16 @@ _MAJORANT_MARGIN = 1.001
 
 def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
                  value_only: bool = False) -> list:
-    """``theta_row``'s fold in the arithmetic of its inputs; on Fraction
-    inputs it is the reference for the integer kernel.
+    """The series at each alpha of a row at one beta: the convergence
+    guards, then the fold, in the arithmetic of its inputs; on Fraction
+    inputs it is the reference for the integer kernel.  An admitted point
+    gives (value, error_bound, terms_used) at order 0, or (x, y, moments)
+    at order 1 or 2: S, then S_k = x dS/dx and S_m = y dS/dy, then S_kk,
+    S_km and S_mm, the series with each term weighted by k, mbar_k, k^2,
+    k mbar_k and mbar_k^2.  A refused point is not raised: it gives its
+    message as a format string and arguments.  The error bound covers
+    roundoff only, as the tail is summed exactly; a bound above ``tol``
+    refuses the point.
 
     The roundoff sum folds mag -> |u| (1 + mag) as the value folds.  With
     M = max |u| < 1 and q = M / (1 - M), it is at most q + 3 |c| q M^H
@@ -358,7 +354,7 @@ def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
 
 
 def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12) -> ThetaValue:
-    """Series value with a closed-form tail: a one-point ``theta_row``."""
+    """Series value with a closed-form tail, its roundoff bound always summed."""
     return ThetaValue(*_point(spec, alpha, beta, 0, tol))
 
 

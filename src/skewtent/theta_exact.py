@@ -1,9 +1,10 @@
 """The Theta series at rational points, folded on integers.
 
-``theta`` sends a point here when alpha and beta are both rational (int or
-Fraction), so float callers never import this module.  With alpha = p/q and
-beta = b/q, x = xn/den and y = yn/den share one denominator den > 0.  The
-fold runs ``theta``'s own Horner steps on integer numerators over a running
+``theta`` sends a point here, from ``theta_row`` or a one-point
+evaluation, when alpha and beta are both rational (int or Fraction), so
+float callers never import this module.  With alpha = p/q and beta = b/q,
+x = xn/den and y = yn/den share one denominator den > 0.  The fold runs
+``theta``'s own Horner steps on integer numerators over a running
 denominator, and one Fraction is formed per result.  The guards compare
 exactly and the roundoff sum takes the generic fold's floats, so a refusal,
 the ``error_bound`` and ``terms_used`` are the generic fold's.
@@ -49,9 +50,9 @@ def _tail(a, rn, e, r: int, s: int):
 
 
 def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
-    """``theta_row`` at one rational point: a refusal as a format string and
-    arguments, (value, error_bound, terms_used) at order 0, or at order 1
-    or 2 (moment numerators, their denominator, xn, yn, den, q, b)."""
+    """``theta._generic_row`` at one rational point: a refusal as a format
+    string and arguments, (value, error_bound, terms_used) at order 0, or at
+    order 1 or 2 (moment numerators, their denominator, xn, yn, den, q, b)."""
     if not beta:  # the generic fold raises ZeroDivisionError, as it always has
         return _generic_row(spec, (alpha,), beta, tol, order)[0]
     head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
@@ -90,19 +91,6 @@ def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
     if order:
         return acc, one, xn, yn, den, q, b
     return (Fraction((q - b) * one + q * acc[0], q * one), bound, terms)
-
-
-def row(spec: ThetaSpec, alphas, beta, tol: float, order: int) -> list:
-    """``theta_row`` on rational inputs, with (x, y, moments) as Fractions
-    at order 1 or 2."""
-    out = []
-    for alpha in alphas:
-        pt = point(spec, alpha, beta, tol, order)
-        if len(pt) == 7:
-            nums, one, xn, yn, den = pt[:5]
-            pt = Fraction(xn, den), Fraction(yn, den), tuple(Fraction(n, one) for n in nums)
-        out.append(pt)
-    return out
 
 
 # theta_grad's and theta_hessian's formulas with x = xn/den, y = yn/den,

@@ -12,17 +12,16 @@ import pytest
 
 import skewtent
 
-# the names the package exported before it loaded them lazily, by home module
+# the public names, by home module
 PUBLIC = {
     "symbolic": [
         "C", "EQUAL", "GREATER", "GapSeq", "KneadingSeq", "L", "LESS", "R", "RL_INFINITY",
         "compare", "compare_prefix", "doubling_limit_prefix", "format_seq", "gap_decomposition",
-        "in_class_M", "is_maximal", "minus_variant", "parse_seq", "parse_word", "shift",
-        "star_product",
+        "in_class_M", "is_maximal", "minus_variant", "parse_seq", "parse_word", "star_product",
     ],
     "tentmap": [
-        "LambdaMu", "LapOverflowError", "TentParams", "branch", "entropy_lap", "extended_itinerary",
-        "from_lambda_mu", "kneading_prefix", "lap_counts", "orbit", "tent_eval", "to_lambda_mu",
+        "LapOverflowError", "TentParams", "entropy_lap", "kneading_prefix", "lap_counts", "orbit",
+        "tent_eval",
     ],
     "theta": [
         "ConvergenceError", "Quadratic2D", "ThetaSpec", "ThetaValue", "diagonal_stationary_beta",
@@ -43,7 +42,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 63
+    assert len(NAMES) == 57
     assert sorted(skewtent.__all__) == sorted(NAMES)
     assert len(set(skewtent.__all__)) == len(skewtent.__all__)
     assert skewtent.__version__ == "0.1.0"
@@ -85,6 +84,9 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         skewtent.no_such_name
     assert not hasattr(skewtent, "lap_count")
+    for removed in ("LambdaMu", "shift", "extended_itinerary"):
+        with pytest.raises(AttributeError, match=removed):
+            getattr(skewtent, removed)
 
 
 # the signature of every public function: a parameter added or removed shows here
@@ -99,17 +101,12 @@ SIGNATURES = {
     "minus_variant": "(m: 'KneadingSeq') -> 'KneadingSeq'",
     "parse_seq": "(text: 'str') -> 'KneadingSeq'",
     "parse_word": "(text: 'str') -> 'tuple[str, ...]'",
-    "shift": "(a: 'KneadingSeq', k: 'int') -> 'KneadingSeq'",
     "star_product": "(word: 'Sequence[str] | str', b: 'KneadingSeq') -> 'KneadingSeq'",
-    "branch": "(p: 'TentParams', symbol: 'str', x)",
     "entropy_lap": "(p: 'TentParams', n: 'int' = 16) -> 'float'",
-    "extended_itinerary": "(p: 'TentParams', x, n: 'int') -> 'list[str]'",
-    "from_lambda_mu": "(lm: 'LambdaMu') -> 'TentParams'",
     "kneading_prefix": "(p: 'TentParams', n: 'int', eps_c=0) -> 'list[str]'",
     "lap_counts": "(p: 'TentParams', n: 'int', cap: 'int' = 4000000) -> 'list[int]'",
     "orbit": "(p: 'TentParams', x, n: 'int') -> 'list'",
     "tent_eval": "(p: 'TentParams', x)",
-    "to_lambda_mu": "(p: 'TentParams') -> 'LambdaMu'",
     "diagonal_stationary_beta": "(spec: 'ThetaSpec') -> 'float'",
     "m1_first_return": "(alpha, beta) -> 'int'",
     "theta_eval": "(spec: 'ThetaSpec', alpha, beta, tol: 'float' = 1e-12) -> 'ThetaValue'",

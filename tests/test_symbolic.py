@@ -1,4 +1,4 @@
-"""Symbol sequence calculus: parsing, ordering, shifts, star products,
+"""Symbol sequence calculus: parsing, ordering, maximality, star products,
 minus variants, gap decompositions and class membership."""
 
 import pytest
@@ -20,7 +20,6 @@ from skewtent import (
     is_maximal,
     minus_variant,
     parse_seq,
-    shift,
     star_product,
 )
 
@@ -29,8 +28,17 @@ from skewtent import (
 ORD = {"L": 0, "C": 1, "R": 2}
 
 
+def symbol_at(seq: KneadingSeq, i: int) -> str | None:
+    """Symbol at index i, read off pre and period, or None past the C."""
+    if i < len(seq.pre):
+        return seq.pre[i]
+    if seq.period is not None:
+        return seq.period[(i - len(seq.pre)) % len(seq.period)]
+    return "C" if i == len(seq.pre) else None
+
+
 def expand(seq: KneadingSeq, n: int) -> list[str]:
-    return [seq.symbol_at(i) for i in range(n) if seq.symbol_at(i) is not None]
+    return [symbol_at(seq, i) for i in range(n) if symbol_at(seq, i) is not None]
 
 
 def brute_compare(a: KneadingSeq, b: KneadingSeq, n: int = 200) -> int:
@@ -161,29 +169,6 @@ def test_compare_prefix_truncation():
     assert compare_prefix(["R", "L"], target) == EQUAL  # equal within depth
     assert compare_prefix(["R", "L", "L"], target) == GREATER  # odd prefix flips
     assert compare_prefix(list("RLC"), target) == GREATER
-
-
-# ---------------------------------------------------------------- shifts
-
-
-def test_shift_examples():
-    assert shift(parse_seq("(RLR)"), 1) == parse_seq("(LRR)")
-    assert shift(parse_seq("RLC"), 0) == parse_seq("RLC")
-    assert shift(parse_seq("RLC"), 2) == parse_seq("C")
-    assert shift(parse_seq("RLC"), 3) == parse_seq("C")
-    with pytest.raises(ValueError):
-        shift(parse_seq("RLC"), 5)
-
-
-@given(seqs, st.integers(0, 8))
-@settings(max_examples=200)
-def test_shift_matches_expansion(a, k):
-    if a.is_finite and k > a.finite_length:
-        return
-    n = 40
-    expected = expand(a, n + k)[k:]
-    got = expand(shift(a, k), n)
-    assert got[: len(expected)] == expected[: len(got)]
 
 
 # ---------------------------------------------------------------- maximality
@@ -330,7 +315,7 @@ def test_gap_roundtrip_on_minus_variants(a):
     if not is_maximal(a):
         return
     mv = minus_variant(a)
-    if mv.symbol_at(0) != "R" or all(s == "L" for s in mv.period):
+    if symbol_at(mv, 0) != "R" or all(s == "L" for s in mv.period):
         return
     try:
         g = gap_decomposition(mv)
@@ -339,7 +324,7 @@ def test_gap_roundtrip_on_minus_variants(a):
     assert g.to_kneading() == mv
     assert gap_decomposition(g.to_kneading()) == g
     # symbols agree with direct expansion
-    assert g.symbols(50) == expand(mv, 50)
+    assert g.to_kneading().prefix(50) == expand(mv, 50)
 
 
 def test_gaps_bounded_by_first_for_maximal():
@@ -349,7 +334,7 @@ def test_gaps_bounded_by_first_for_maximal():
         m = parse_seq(text)
         assert is_maximal(m)
         g = gap_decomposition(minus_variant(m))
-        assert all(g.gap(k) <= g.m1 for k in range(1, 20))
+        assert all(gap <= g.m1 for gap in g.head + g.period)
 
 
 # ---------------------------------------------------------------- class membership

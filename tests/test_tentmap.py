@@ -1,4 +1,4 @@
-"""Tent map evaluation, itineraries, slope coordinates, lap entropy."""
+"""Tent map evaluation, orbits, kneading prefixes, lap entropy."""
 
 import math
 import random
@@ -10,21 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewtent import (
-    LambdaMu,
     LapOverflowError,
     TentParams,
-    branch,
     compare_prefix,
     entropy_lap,
-    extended_itinerary,
-    from_lambda_mu,
     kneading_prefix,
     lap_counts,
     minus_variant,
     orbit,
     parse_seq,
     tent_eval,
-    to_lambda_mu,
 )
 
 
@@ -48,34 +43,12 @@ def test_eval_continuous_at_turning_point():
     assert tent_eval(p, p.alpha + 1e-12) == pytest.approx(p.beta, abs=1e-10)
 
 
-def test_branch_examples():
-    p = TentParams(0.65, 0.8)
-    assert branch(p, "L", p.alpha) == pytest.approx(p.beta)
-    assert branch(p, "R", 1.0) == pytest.approx(0.0)
-    # branch maps are unclamped affine maps and may leave [0,1]
-    p = TentParams(Fraction(2, 3), Fraction(2, 3))
-    assert branch(p, "R", Fraction(1, 3)) == Fraction(4, 3)
-    with pytest.raises(ValueError):
-        branch(p, "C", 0.5)
-
-
 def test_exact_orbit_with_fractions():
     p = TentParams(Fraction(1, 2), Fraction(3, 4))
     xs = orbit(p, Fraction(3, 4), 4)
     assert xs[1] == Fraction(3, 8)
     assert xs[2] == Fraction(9, 16)
     assert all(isinstance(x, Fraction) for x in xs)
-
-
-def test_extended_itinerary_examples():
-    assert extended_itinerary(TentParams(0.5, 1.0), 1.0, 4) == list("RLLL")
-    assert extended_itinerary(TentParams(0.5, 0.6), 0.6, 4) == list("RLRR")
-    # exact hit of the turning point gives C and iteration continues
-    got = extended_itinerary(TentParams(0.5, 0.8), 0.5, 3)
-    assert got[0] == "C"
-    assert len(got) == 3
-    # C needs x == alpha exactly: Fraction(1, 10) is not the float 0.1
-    assert extended_itinerary(TentParams(0.1, 0.9), Fraction(1, 10), 3) == list("LRL")
 
 
 def test_kneading_prefix_examples():
@@ -133,41 +106,6 @@ def test_kneading_prefix_refuses_orbit_leaving_unit_interval():
         _reference_prefix(p, 5)
 
 
-def test_lambda_mu_examples():
-    lm = to_lambda_mu(TentParams(0.5, 1.0))
-    assert (lm.lam, lm.mu) == (2.0, 2.0)
-    lm = to_lambda_mu(TentParams(0.65, 0.8))
-    assert lm.lam == pytest.approx(0.8 / 0.65, rel=1e-15)
-    assert lm.mu == pytest.approx(0.8 / 0.35, rel=1e-15)
-
-
-def test_lambda_mu_roundtrip():
-    rng = random.Random(7)
-    for _ in range(50):
-        b = rng.uniform(0.51, 1.0)
-        a = rng.uniform(1 - b + 0.01, b - 0.01)
-        p = TentParams(a, b)
-        q = from_lambda_mu(to_lambda_mu(p))
-        assert q.alpha == pytest.approx(a, abs=1e-15)
-        assert q.beta == pytest.approx(b, abs=1e-15)
-
-
-def test_lambda_mu_region():
-    # image of U satisfies 1/lam + 1/mu >= 1
-    rng = random.Random(8)
-    for _ in range(50):
-        b = rng.uniform(0.51, 1.0)
-        a = rng.uniform(1 - b + 0.01, b - 0.01)
-        lm = to_lambda_mu(TentParams(a, b))
-        assert lm.lam >= 1 or lm.mu > 1
-        assert 1 / lm.lam + 1 / lm.mu >= 1 - 1e-12
-
-
-def test_from_lambda_mu_degenerate():
-    with pytest.raises(ValueError):
-        from_lambda_mu(LambdaMu(-2.0, 1.0))
-
-
 def test_kneading_monotone_in_beta():
     # along verticals the kneading order is nondecreasing in beta
     rng = random.Random(9)
@@ -199,7 +137,7 @@ def test_itinerary_below_curve_matches_minus_variant():
     # lower limit sequence
     phi = (1 + math.sqrt(5)) / 2
     p = TentParams(0.5, phi / 2 - 1e-9)
-    got = extended_itinerary(p, p.beta, 15)
+    got = kneading_prefix(p, 15)
     mv = minus_variant(parse_seq("RLC"))
     assert compare_prefix(got, mv) == 0
 

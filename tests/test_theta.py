@@ -30,6 +30,7 @@ from skewtent import (
     theta_partial_sum,
     thex_spec,
 )
+from skewtent import theta_exact
 from skewtent.cli import main as cli_main
 from skewtent.theta import _BOUND_REFUSAL, _generic_row, sign_change_roots, theta_row
 
@@ -332,14 +333,27 @@ def _reference_derivatives(spec, a, b):
             -((kk + km) / x + (km + mm) / y) / b2, (kk + 2 * km + mm + k + m) / b2)
 
 
+def _exact_point(spec, a, b, tol, order):
+    """The integer kernel's point, with its order 1 or 2 numerators made
+    (x, y, moments) as Fractions, the generic fold's shape."""
+    got = theta_exact.point(spec, a, b, tol, order)
+    if len(got) != 7:
+        return got
+    nums, one, xn, yn, den = got[:5]
+    return Fraction(xn, den), Fraction(yn, den), tuple(Fraction(n, one) for n in nums)
+
+
 @given(gap_specs(), rational_points(), st.sampled_from([1e-12, 1e-15, 1e-20]))
 @settings(max_examples=300, deadline=None)
 def test_integer_kernel_matches_generic_fold(spec, point, tol):
     # values and moments equal exactly, error_bound and terms_used bit for
-    # bit, and a refused point refused with the same text
+    # bit, and a refused point refused with the same text; theta_row on
+    # rational inputs is the kernel's value at tol 1e-12
     a, b = point
+    if tol == 1e-12:
+        assert theta_row(spec, [a], b) == [theta_exact.point(spec, a, b, tol, 0)]
     for order in (0, 1, 2):
-        (got,) = theta_row(spec, [a], b, tol, order)
+        got = _exact_point(spec, a, b, tol, order)
         (ref,) = _generic_row(spec, [Fraction(a)], Fraction(b), tol, order)
         assert got == ref
         assert [type(v) for v in got] == [type(v) for v in ref]
@@ -358,10 +372,10 @@ def test_integer_kernel_matches_generic_fold(spec, point, tol):
 
 def test_float_and_mixed_inputs_take_the_generic_fold():
     for a, b in [(0.62, 0.8), (Fraction(31, 50), 0.8), (0.62, Fraction(4, 5))]:
-        assert theta_row(THEX, [a, 0.5], b) == _generic_row(THEX, [a, 0.5], b, 1e-12, 0)
+        assert theta_row(THEX, [a, 0.5], b) == _generic_row(THEX, [a, 0.5], b, 1e-12, 0, True)
         assert type(theta_eval(THEX, a, b).value) is float
     assert theta_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5)) == _generic_row(
-        THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0)
+        THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0, True)
 
 
 # ------------------------------------------------------------ value-only rows
@@ -389,6 +403,14 @@ def float_points(draw):
     return (b, -a) if region == "mirror" and a else (a, b)
 
 
+def _value_only_row(spec, a, b, tol):
+    """The value-only generic row at (a, b); at tol 1e-12 it is theta_row."""
+    row = _generic_row(spec, (a,), b, tol, 0, True)
+    if tol == 1e-12:
+        assert theta_row(spec, (a,), b) == row
+    return row
+
+
 def _value_only_matches(spec, a, b, tol):
     """The value-only row at (a, b) against theta_eval: the same value
     bits and terms_used, an error_bound never below theta_eval's, or the
@@ -398,13 +420,13 @@ def _value_only_matches(spec, a, b, tol):
     try:
         ref = theta_eval(spec, a, b, tol)
     except ConvergenceError as exc:
-        (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
+        (got,) = _value_only_row(spec, a, b, tol)
         assert type(got[0]) is str and got[0].format(*got[1:]) == str(exc)
         return got
     except OverflowError:
         pytest.fail(f"theta_eval raised OverflowError at {(a, b)}")
     try:
-        (got,) = theta_row(spec, (a,), b, tol, _value_only=True)
+        (got,) = _value_only_row(spec, a, b, tol)
     except OverflowError:
         pytest.fail(f"the value-only row raised OverflowError at {(a, b)}")
     assert got[0].hex() == ref.value.hex() and got[2] == ref.terms_used
