@@ -2,10 +2,15 @@
 
 Curve points are located by bisection in beta using the parity order of
 kneading sequences, which is monotone along verticals; each probe reads
-the orbit only up to the first symbol that decides it.  Rasters evaluate a
-scalar field on an inclusive rectangular grid in deterministic row-major
-order (top row = largest beta) so identical inputs give bit-identical
-output files.
+the orbit only up to the first symbol that decides it.  Counterexample
+scans bisect the sign changes of Theta on a grid along a vertical.  Theta
+need not be monotone there, but every magnitude term of its series falls
+as beta rises, so an evaluated grid node proves the sign of the nodes just
+above it; only nodes with no proven sign, or next to a sign change, are
+evaluated.  Rasters evaluate a scalar field on an inclusive rectangular
+grid in deterministic row-major order (top row = largest beta) so
+identical inputs give bit-identical output files.  The grid's last column
+and bottom row are the window's own ends.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY, Record, _set
 from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
-from .theta import ThetaSpec, sign_change_roots, theta_row
+from .theta import ThetaSpec, _bisect_sign_changes, _sign_reach, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -178,6 +183,19 @@ def counterexample_scan(
     orbit only up to the first symbol that decides it, so 48 is an upper
     bound.  alpha0 must lie in (0, 1) and the beta range in (0, 1]; other
     input is refused before anything is evaluated.
+
+    The roots are those of ``sign_change_roots`` over the ``samples + 1``
+    grid nodes, but the grid pass reads only signs, and it evaluates a node
+    only where no sign is proven yet.  On the vertical, |x| and y fall as
+    beta rises, so every magnitude term of the series and every guard input
+    falls too (``theta._sign_reach``).  So an evaluated node with value v
+    proves the sign of v at each node within its reach, (|v| - 3E) / (B
+    margin) above it, where E bounds the error of every point above and B
+    bounds |dTheta/dbeta| there; those nodes are skipped.  B >= 1, so a node
+    with |v| at most the grid step reaches no further node, and its reach
+    is not computed.  A skipped node next to an opposite sign, a zero or a
+    NaN is evaluated after all, so every zero and every bracket end that
+    the bisection reads is a real value, and the bisection is unchanged.
     """
     if not beta_lo < beta_hi:
         raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
@@ -186,7 +204,22 @@ def counterexample_scan(
                          f"got alpha0={alpha0} and beta range [{beta_lo}, {beta_hi}]")
     target = spec.to_kneading()
     ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
-    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts)
+    step = (beta_hi - beta_lo) / samples
+    vals: list[float] = []
+    limit, skipped = -math.inf, False  # the last reach's end; whether vals[-1] stands in
+    for i, t in enumerate(ts):
+        if t < limit:  # its sign is proven: vals[-1], the evaluated node's, stands in
+            vals.append(vals[-1])
+            skipped = True
+            continue
+        v = _residual(spec, alpha0, t)
+        if skipped and not v * vals[-1] > 0:  # a stand-in next to a sign change, 0 or NaN
+            vals[-1] = _residual(spec, alpha0, ts[i - 1])
+        vals.append(v)
+        skipped = False
+        if abs(v) > step:  # B >= 1, so a smaller value reaches no further node
+            limit = t + _sign_reach(spec, alpha0, t, v)
+    roots = _bisect_sign_changes(lambda t: _residual(spec, alpha0, t), ts, vals)
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 
@@ -240,10 +273,12 @@ class RasterGrid(Record):
         _set(self, "field", field)
 
     def node(self, col: int, row: int) -> tuple[float, float]:
+        """The node at (col, row): the window's own ends on its last column
+        and bottom row, where the interior formula can round past them."""
         a0, a1 = self.alpha_range
         b0, b1 = self.beta_range
-        a = a0 + (a1 - a0) * col / (self.width - 1)
-        b = b1 - (b1 - b0) * row / (self.height - 1)
+        a = a1 if col == self.width - 1 else a0 + (a1 - a0) * col / (self.width - 1)
+        b = b0 if row == self.height - 1 else b1 - (b1 - b0) * row / (self.height - 1)
         return a, b
 
     def axes(self) -> tuple[list[float], list[float]]:

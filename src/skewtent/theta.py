@@ -22,6 +22,15 @@ decides wherever the majorant does not admit, so the value, the refused
 points and their texts are the full fold's.  ``theta_eval``, and with it
 every ``error_bound`` the CLI prints, always runs the sum.
 
+On a vertical 0 < alpha < 1, beta > 0, |x| = (1 - alpha)/beta and
+y = alpha/beta fall as beta rises, and with them every term of the
+magnitude series sum |x|^k y^{mbar_k}, its Euler moments and the guards'
+inputs.  ``_sign_reach`` turns that into the reach of an admitted point:
+how far above it the value keeps its sign, from a bound on the error of
+every point above and a bound on |dTheta/dbeta| from the magnitude
+moments.  The counterexample scan skips the grid nodes within that reach;
+``sign_change_roots`` is its grid pass over ``_bisect_sign_changes``.
+
 The input types pick one of two kernels, once per row or point.  Rational
 inputs (every alpha and beta an int or a Fraction) run the integer kernel
 in ``theta_exact``, imported only then: x and y are written over one
@@ -284,6 +293,9 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
     for alpha in alphas:
         x = (alpha - 1) / beta
         y = alpha / beta
+        if not -math.inf < y < math.inf:  # 1/beta overflowed (or NaN): x y^g would be 0 inf
+            row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
+            continue
         # dominating term ratio |x| max(1, y)^{m1}, infinite past float range
         try:
             eta = abs(x) * y ** m1 if y > 1 else abs(x)
@@ -337,6 +349,41 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         else:
             row.append((1 - beta + acc, bound, terms))
     return row
+
+
+def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> float:
+    """How far above beta the value-only Theta keeps the sign of ``value``,
+    the value ``theta_row`` gave at (alpha, beta), an admitted point of the
+    vertical at 0 < alpha < 1 with beta > 0; 0 where the majorant does not
+    admit the point.
+
+    Along that vertical |x| = (1 - alpha)/beta and y = alpha/beta fall as
+    beta rises, so every term of the magnitude series sum |x|^k y^{mbar_k}
+    falls, and so do the guards' inputs: eta, |rho|, the majorant's top and
+    the weight 3/(1 - |rho|), which is at least 3 |c|.  So with E the
+    majorant at beta under that weight, every point above is admitted with
+    an error bound at most E; and with K, M the first Euler moments of the
+    magnitude series at beta (``_step1`` fed |u|, the tail fed |rho|),
+    |dTheta/dbeta| = |1 + (S_k + S_m)/beta| <= B = 1 + (K + M)/beta there.
+    Within (|value| - 3E) / (B margin) above beta, |Theta| > 2E, so the
+    float value has the sign of ``value`` and exceeds its own error bound.
+    The margin covers the rounding of these folds of positive terms, as it
+    does the majorant's."""
+    head_rev, period_rev, distinct, r, s = spec._plan[:5]
+    ax = (1 - alpha) / beta
+    y = alpha / beta
+    mags = [ax * y ** gap for gap in distinct]
+    top = max(mags)  # at most eta, and |rho| at most eta^r: the point is admitted
+    arho = ax ** r * y ** s
+    q = top / (1 - top)
+    bound = 8e-16 * ((q + 3 / (1 - arho) * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
+    lead = abs(value) - 3 * bound
+    if bound > 1e-12 or lead <= 0:
+        return 0.0
+    tail = _fixed_point_tail(_fold(_step1, mags, distinct, period_rev, _STEPS[1][1]),
+                             arho, 1 / (1 - arho), r, s)
+    _, k, m = _fold(_step1, mags, distinct, head_rev, tail)
+    return lead / ((1 + (k + m) / beta) * _MAJORANT_MARGIN)
 
 
 def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
@@ -432,7 +479,14 @@ def sign_change_roots(f, xs) -> list:
     are skipped.  A sign change is bisected until its bracket ends are
     adjacent floats, and the rounded midpoint, one of the two, is returned.
     """
-    vals = [f(x) for x in xs]
+    return _bisect_sign_changes(f, xs, [f(x) for x in xs])
+
+
+def _bisect_sign_changes(f, xs, vals) -> list:
+    """``sign_change_roots`` over given grid values.  A value may stand in
+    for f(x) where f(x) is proven nonzero with its sign and both neighbours
+    hold values of that same sign: no pair with a stand-in is then a sign
+    change, so every zero and every bisected end is f's own value."""
     roots = []
     for i, (lo, f_lo) in enumerate(zip(xs, vals)):
         if f_lo == 0:

@@ -244,6 +244,8 @@ def test_error_is_machine_readable():
      "--tol must be positive, got -1.0"),
     (["theta", "--gaps", "gaps=2;tail=R", "--alpha", "1", "--beta=-1e-200"],
      "series ratio inf >= 0.999 at alpha=1.0, beta=-1e-200"),
+    (["theta", "--gaps", "gaps=1;tail=R", "--alpha", "1", "--beta=-5e-324"],
+     "series ratio inf >= 0.999 at alpha=1.0, beta=-5e-324"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)
@@ -253,6 +255,13 @@ def test_bad_input_is_one_json_error_line(args, says):
     doc = json.loads(line)
     assert set(doc) == {"error", "kind"}
     assert says in doc["error"]
+
+
+def test_infinite_y_is_a_convergence_error():
+    # 1/beta overflows to -inf at alpha = 1, where x is 0: x y^g would be NaN
+    rc, out, err = run_cli(["theta", "--gaps", "gaps=1;tail=R", "--alpha", "1", "--beta=-5e-324"])
+    assert (rc, out) == (1, "")
+    assert json.loads(err)["kind"] == "ConvergenceError"
 
 
 def test_lap_overflow_is_one_json_error_line():

@@ -26,7 +26,6 @@ from skewtent import (
 )
 from skewtent import curves
 from skewtent.curves import THEX_ALPHA0, trace_csv
-from skewtent.theta import sign_change_roots
 
 
 # ------------------------------------------------------------ bisection
@@ -252,24 +251,33 @@ def _theta_or_nan(spec, a, b):
 
 @pytest.mark.parametrize("alpha0, lo, hi", [(THEX_ALPHA0, 0.535, 0.995), (0.52, 0.3, 1.0)])
 def test_scan_residuals_are_theta_eval_values(monkeypatch, alpha0, lo, hi):
-    # every grid and bisection residual has theta_eval's value bits, and is
-    # NaN exactly where theta_eval refuses
-    seen = []
+    # every grid and bisection residual the scan makes has theta_eval's
+    # value bits, and is NaN exactly where theta_eval refuses; a grid node
+    # it skips has the sign of the evaluated node below it, proven there:
+    # theta_eval admits it with a value of that sign beyond its error bound
+    seen = {}
+    residual = curves._residual
 
-    def recording(f, xs):
-        def g(t):
-            seen.append((t, f(t)))
-            return seen[-1][1]
-        return sign_change_roots(g, xs)
+    def recording(spec, a, t):
+        seen[t] = residual(spec, a, t)
+        return seen[t]
 
-    monkeypatch.setattr(curves, "sign_change_roots", recording)
+    monkeypatch.setattr(curves, "_residual", recording)
     spec = thex_spec()
     assert counterexample_scan(spec, alpha0, lo, hi)
-    assert len(seen) > 400
-    for t, v in seen:
+    for t, v in seen.items():
         assert v.hex() == _theta_or_nan(spec, alpha0, t).hex()
     if alpha0 == 0.52:  # below beta = 1 - alpha0 the ratio guard refuses
-        assert any(math.isnan(v) for _, v in seen)
+        assert any(math.isnan(v) for v in seen.values())
+    skipped = 0
+    for t in [lo + (hi - lo) * i / 400 for i in range(401)]:
+        if t in seen:
+            proven = seen[t]
+            continue
+        skipped += 1
+        ref = theta_eval(spec, alpha0, t)
+        assert ref.value * proven > 0 and abs(ref.value) > ref.error_bound
+    assert skipped > 200
 
 
 @pytest.mark.parametrize("word", ["RLC", "RLLRC"])
@@ -371,6 +379,25 @@ def test_raster_no_small_theta_above_curve():
                 continue
             if compare_prefix(kneading_prefix(p, 48), target) > 0:
                 assert abs(v) > 1e-9
+
+
+def test_raster_refuses_an_infinite_y():
+    # at alpha = 1, beta = -5e-324 the reciprocal of beta overflows: y is
+    # -inf and x is 0, so x y^g is NaN and the pixel must be refused
+    grid = raster(ThetaSignField(ThetaSpec.from_text("gaps=1;tail=R")),
+                  (0.5, 1.0, -1e-300, -5e-324), 3, 2)
+    assert grid.node(2, 0) == (1.0, -5e-324)
+    assert math.isnan(grid.values[2])
+
+
+@pytest.mark.parametrize("window, width, height", [
+    ((0.22728051147910983, 0.9253234957877107, 0.55, 0.95), 5, 3),
+    ((0.5, 1.0, -1e-200, 0.9), 4, 3),
+])
+def test_raster_axes_end_at_the_window_ends(window, width, height):
+    field = ThetaValueField(ThetaSpec.from_text("gaps=2;tail=R"))
+    alphas, betas = raster(field, window, width, height).axes()
+    assert (alphas[0], alphas[-1], betas[-1], betas[0]) == window
 
 
 def test_raster_validation():

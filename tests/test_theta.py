@@ -11,7 +11,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skewtent import (
@@ -32,7 +32,7 @@ from skewtent import (
 )
 from skewtent import theta_exact
 from skewtent.cli import main as cli_main
-from skewtent.theta import _BOUND_REFUSAL, _generic_row, sign_change_roots, theta_row
+from skewtent.theta import _BOUND_REFUSAL, _generic_row, _sign_reach, sign_change_roots, theta_row
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
 RLLRC = ThetaSpec.from_seq(parse_seq("RLLRC"))
@@ -441,6 +441,8 @@ def test_value_only_row_matches_theta_eval():
     ran = set()
 
     @given(gap_specs(), float_points(), st.sampled_from([1e-12, 1e-20, None]))
+    # 1/beta overflows to -inf and x is 0, so x y^g is NaN: refused, not admitted
+    @example(ThetaSpec.from_text("gaps=1;tail=R"), (1.0, -5e-324), 1e-12)
     @settings(max_examples=800, deadline=None)
     def check(spec, point, tol):
         a, b = point
@@ -464,6 +466,43 @@ def test_value_only_row_matches_theta_eval():
         b = 0.5 + i / 800
         bound = theta_eval(THEX, b, b, math.inf).error_bound
         assert type(_value_only_matches(THEX, b, b, math.nextafter(bound, 0))[0]) is str
+
+
+# ------------------------------------------------------------ sign reach
+
+
+@st.composite
+def vertical_points(draw):
+    """A float point of a vertical 0 < alpha < 1 where |x| < 1."""
+    a = draw(st.floats(0.001, 1.0, exclude_max=True))
+    return a, draw(st.floats(1 - a, 1.0, exclude_min=True))
+
+
+@given(gap_specs(), vertical_points(), st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_sign_reach_proves_the_sign_above(spec, point, t):
+    # within the reach of an admitted point, the exact Theta keeps the
+    # point's sign beyond twice the float error bound, so the float value
+    # there has that sign and exceeds its own error bound
+    a, b = point
+    ((v, *_),) = theta_row(spec, (a,), b)
+    assume(type(v) is not str)
+    reach = _sign_reach(spec, a, b, v)
+    assume(reach > 0)
+    above = b + t * reach
+    tv = theta_eval(spec, a, above)
+    exact = theta_eval(spec, Fraction(a), Fraction(above)).value
+    assert exact * v > 0 and abs(exact) > 2 * tv.error_bound
+    assert tv.value * v > 0 and abs(tv.value) > tv.error_bound
+
+
+def test_sign_reach_needs_a_value_beyond_three_error_bounds():
+    # a value within three error bounds of zero proves no sign above it
+    for b in (0.6, 0.8, 0.95):
+        tv = theta_eval(THEX, 0.4875, b)
+        assert _sign_reach(THEX, 0.4875, b, tv.value) > 0
+        assert _sign_reach(THEX, 0.4875, b, 3 * tv.error_bound) == 0
+        assert _sign_reach(THEX, 0.4875, b, 1e-300) == 0
 
 
 def test_a_large_gap_costs_no_table_of_its_size():
