@@ -2,10 +2,11 @@
 composition, diagonal critical points and tangent slopes of the implicit
 curves at the diagonal.
 
-Polynomials carry Fraction coefficients throughout, and rational inputs
-(int or Fraction) give exact results; numeric root refinement happens only
-after squarefree reduction, and rational roots are reported exactly when the
-reduced factor is linear or has a square discriminant.
+Branch composition folds int coefficients; a ``BivarPoly`` holds Fraction
+coefficients and has no ring operations.  Rational inputs (int or Fraction)
+give exact results; numeric root refinement happens only after squarefree
+reduction, and rational roots are reported exactly when the reduced factor
+is linear or has a square discriminant.
 """
 
 from __future__ import annotations
@@ -33,42 +34,6 @@ class BivarPoly:
                 if v != 0:
                     cleaned[(int(i), int(j))] = v
         self.coeffs = cleaned
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "BivarPoly":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def alpha(cls) -> "BivarPoly":
-        return cls({(1, 0): Fraction(1)})
-
-    @classmethod
-    def beta(cls) -> "BivarPoly":
-        return cls({(0, 1): Fraction(1)})
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return BivarPoly(out)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly({k: -v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        out: dict[Monomial, Fraction] = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return BivarPoly(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BivarPoly) and self.coeffs == other.coeffs
@@ -117,23 +82,6 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def normalized(self) -> "BivarPoly":
-        """Primitive integer coefficients, positive leading graded-lex term."""
-        if self.is_zero:
-            return BivarPoly()
-        denom_lcm = 1
-        for v in self.coeffs.values():
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        ints = {k: v * denom_lcm for k, v in self.coeffs.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v.numerator)
-        ints = {k: Fraction(v.numerator, g) for k, v in ints.items()}
-        lead = max(ints, key=lambda k: (k[0] + k[1], k[0]))
-        if ints[lead] < 0:
-            ints = {k: -v for k, v in ints.items()}
-        return BivarPoly(ints)
-
     def to_text(self) -> str:
         """Graded-lex rendering, exact rationals as p/q."""
         if self.is_zero:
@@ -162,8 +110,10 @@ def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
 
     The word names the branch applied at each orbit point, starting with the
     leading R consumed at beta itself; a trailing C is accepted and dropped.
-    The orbit point is folded as num/den, den a product of alpha and
-    alpha - 1, the only denominators the branch maps contribute.
+    The orbit point is folded as num/den, dicts of int coefficients, den a
+    product of alpha and alpha - 1, the only denominators the branch maps
+    contribute; so den's keys stay in descending alpha order, and the keys
+    keep a full product's order, in which ``evaluate`` sums floats.
     The zero set of the result contains the equi-kneading curve of the word
     and the diagonal.  Content is removed and the sign fixed so the leading
     graded-lex monomial (alpha first) is positive.
@@ -181,16 +131,31 @@ def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
     if syms[0] != R:
         raise ValueError("word must start with R")
 
-    one, a, b = BivarPoly.constant(1), BivarPoly.alpha(), BivarPoly.beta()
-    num, den = b, one
+    num, den = {(0, 1): 1}, {(0, 0): 1}
     for s in syms:
         if s == L:  # (beta/alpha) x
-            num, den = num * b, den * a
+            num, den = _shift(num, 0, 1), _shift(den, 1, 0)
         elif s == R:  # beta (x - 1) / (alpha - 1)
-            num, den = b * (num - den), den * (a - one)
+            num, den = _shift(_difference(num, den), 0, 1), _difference(_shift(den, 1, 0), den)
         else:
             raise ValueError(f"branch symbol must be L or R, got {s!r}")
-    return (num - a * den).normalized()
+    out = _difference(num, _shift(den, 1, 0))
+    lead = max(out, key=lambda k: (k[0] + k[1], k[0]))
+    g = gcd(*out.values()) if out[lead] > 0 else -gcd(*out.values())
+    return BivarPoly({k: v // g for k, v in out.items()})
+
+
+def _shift(p: dict, di: int, dj: int) -> dict:
+    """p times alpha^di beta^dj, in p's key order."""
+    return {(i + di, j + dj): v for (i, j), v in p.items()}
+
+
+def _difference(p: dict, q: dict) -> dict:
+    """p - q with p's keys first and zero coefficients dropped."""
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
 
 
 # -- univariate helpers (coefficients ascending, Fractions) -----------------------

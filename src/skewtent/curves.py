@@ -87,11 +87,11 @@ _BISECT_DEPTH = 64
 _LABEL_DEPTH = 48
 
 
-def kneading_bisect_beta(m: KneadingSeq, alpha: float, tol: float = 1e-12) -> IsentropePoint:
+def kneading_bisect_beta(m: KneadingSeq, alpha: float) -> IsentropePoint:
     """Locate beta with K(alpha, beta) = m by bisection on the kneading order.
 
     The bracket starts at (max(1-alpha, alpha, 1/2), 1) and halves until it
-    is no wider than ``tol`` or its ends are adjacent floats.  The returned
+    is no wider than 1e-12 or its ends are adjacent floats.  The returned
     point carries the Theta residual of m's spec and a prefix verification
     at depth 48.  A probe reads the orbit only up to the first symbol that
     decides its order against m (a difference or a shared C), so 64
@@ -102,11 +102,11 @@ def kneading_bisect_beta(m: KneadingSeq, alpha: float, tol: float = 1e-12) -> Is
     bottom, since every probe lies on the same vertical between it and
     beta = 1; a bad alpha gets the ``TentParams`` refusal.
     """
-    return _bisect(m, _spec(m), alpha, tol)
+    return _bisect(m, _spec(m), alpha, 1e-12)
 
 
 def _bisect(m, spec, alpha, tol) -> IsentropePoint:
-    """``kneading_bisect_beta`` with m's spec made by the caller."""
+    """``kneading_bisect_beta`` with m's spec and the tolerance given by the caller."""
     if m == RL_INFINITY:
         # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
         return IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m) == EQUAL)
@@ -181,8 +181,8 @@ def counterexample_scan(
     orbit by about e^(depth * entropy), which must remain small against the
     orbit scale for the equal-within-depth label.  A label reads the
     orbit only up to the first symbol that decides it, so 48 is an upper
-    bound.  alpha0 must lie in (0, 1) and the beta range in (0, 1]; other
-    input is refused before anything is evaluated.
+    bound.  alpha0 must lie in (0, 1), the beta range in (0, 1] and samples
+    be at least 1; other input is refused before anything is evaluated.
 
     The roots are those of ``sign_change_roots`` over the ``samples + 1``
     grid nodes, but the grid pass reads only signs, and it evaluates a node
@@ -202,6 +202,8 @@ def counterexample_scan(
     if not (0 < alpha0 < 1 and 0 < beta_lo and beta_hi <= 1):
         raise ValueError(f"the scan needs alpha0 in (0,1) and beta in (0,1], "
                          f"got alpha0={alpha0} and beta range [{beta_lo}, {beta_hi}]")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     target = spec.to_kneading()
     ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
     step = (beta_hi - beta_lo) / samples

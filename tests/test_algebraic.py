@@ -2,6 +2,7 @@
 tangent slopes."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -36,12 +37,6 @@ def test_partial_alpha():
 
 def test_diagonal_substitution_vanishes():
     assert _upoly_trim(A3_POLY.substitute_diagonal()) == [Fraction(0)]
-
-
-def test_product():
-    apb = P({(1, 0): 1, (0, 1): 1})
-    amb = P({(1, 0): 1, (0, 1): -1})
-    assert apb * amb == P({(2, 0): 1, (0, 2): -1})
 
 
 def test_exact_evaluation():
@@ -79,6 +74,58 @@ def test_compose_rllrc():
 def test_compose_rc():
     # R(beta) = alpha, i.e. beta(beta-1) = alpha(alpha-1), sign-normalized
     assert compose_branch_condition("RC") == P({(2, 0): 1, (0, 2): -1, (1, 0): -1, (0, 1): 1})
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_sub(p, q):
+    return _ref_add(p, {k: -v for k, v in q.items()})
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (i1, j1), v1 in p.items():
+        for (i2, j2), v2 in q.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, Fraction(0)) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_compose(word):
+    """The branch condition by general bivariate multiply and add on
+    Fraction dicts, content and sign normalised as the composition does."""
+    one, a, b = {(0, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    num, den = b, one
+    for s in word.rstrip("C"):
+        if s == "L":
+            num, den = _ref_mul(num, b), _ref_mul(den, a)
+        else:
+            num, den = _ref_mul(b, _ref_sub(num, den)), _ref_mul(den, _ref_sub(a, one))
+    out = _ref_sub(num, _ref_mul(a, den))
+    scale = math.lcm(*(v.denominator for v in out.values()))
+    out = {k: v * scale for k, v in out.items()}
+    g = math.gcd(*(v.numerator for v in out.values()))
+    lead = max(out, key=lambda k: (k[0] + k[1], k[0]))
+    sign = 1 if out[lead] > 0 else -1
+    return [(k, Fraction(sign * v.numerator, g)) for k, v in out.items()]
+
+
+def test_compose_matches_the_general_ring_in_key_order():
+    # the float path of evaluate sums in coeffs order, so keys, their
+    # order, values and types all have to match the general product
+    rng = random.Random(17)
+    words = ["R" + "L" * k + "RC" for k in range(41)]
+    words += ["R" + "".join(rng.choice("LR") for _ in range(rng.randrange(31))) + "C" * rng.randrange(2)
+              for _ in range(1000)]
+    for word in words:
+        got = list(compose_branch_condition(word).coeffs.items())
+        assert got == _ref_compose(word), word
+        assert all(type(v) is Fraction for _, v in got), word
 
 
 def test_compose_accepts_word_without_c():

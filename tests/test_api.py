@@ -123,7 +123,7 @@ SIGNATURES = {
         "(spec: 'ThetaSpec', alpha0: 'float', beta_lo: 'float', beta_hi: 'float', "
         "samples: 'int' = 400) -> 'list[ScanRoot]'",
     "kneading_bisect_beta":
-        "(m: 'KneadingSeq', alpha: 'float', tol: 'float' = 1e-12) -> 'IsentropePoint'",
+        "(m: 'KneadingSeq', alpha: 'float') -> 'IsentropePoint'",
     "raster": "(field, window, width: 'int', height: 'int') -> 'RasterGrid'",
     "trace_isentrope": "(m: 'KneadingSeq', alphas, tol: 'float' = 1e-12)",
     "write_csv": "(grid: 'RasterGrid', path: 'str | Path') -> 'None'",

@@ -66,8 +66,9 @@ def test_bisect_rllrc_approaches_diagonal_meet():
 def test_bisect_ends_at_adjacent_floats(alpha, tol):
     # a bracket of adjacent floats cannot shrink, so a tolerance below their
     # spacing ends the bisection there; at 0.55 no probe hits the curve
-    # exactly, so only that rule ends it
-    pt = kneading_bisect_beta(parse_seq("RLC"), alpha, tol=tol)
+    # exactly, so only that rule ends it; the trace's tol reaches the same
+    # bisection as kneading_bisect_beta, which keeps 1e-12
+    pt = trace_isentrope(parse_seq("RLC"), [alpha], tol=tol)[0]
     assert pt.kneading_ok
     assert pt.beta == pytest.approx(kneading_bisect_beta(parse_seq("RLC"), alpha).beta, abs=1e-11)
 
@@ -235,6 +236,18 @@ def test_scan_refuses_points_outside_the_parameter_square(monkeypatch, alpha0, l
         counterexample_scan(thex_spec(), alpha0, lo, hi)
     assert str(exc.value) == ("the scan needs alpha0 in (0,1) and beta in (0,1], "
                               f"got alpha0={alpha0} and beta range [{lo}, {hi}]")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_scan_refuses_fewer_than_one_sample(monkeypatch, samples):
+    # 0 used to end in ZeroDivisionError, a negative count in the
+    # misleading "no sign change of Theta found"
+    def evaluated(*args):
+        raise AssertionError("the scan evaluated Theta before refusing")
+
+    monkeypatch.setattr(curves, "_residual", evaluated)
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        counterexample_scan(thex_spec(), THEX_ALPHA0, 0.535, 0.995, samples=samples)
 
 
 def test_scan_order_check_comes_first():
