@@ -232,8 +232,8 @@ def isolate_real_roots(coeffs: Sequence[Fraction], lo, hi):
     """Real roots of a univariate polynomial inside the open interval
     (lo, hi): sign-change bisection on the squarefree part over a grid of
     64 nodes per coefficient (at least 256), exact values where the reduced
-    polynomial admits them.  Exact arithmetic needs Fraction coefficients:
-    on two ints ``/`` is float division."""
+    polynomial admits them.  Each coefficient, int, float or Fraction, is
+    made a Fraction first, so the reduction is exact whatever its type."""
     sf = _squarefree([Fraction(c) for c in coeffs])
     exact = _exact_roots_low_degree(sf)
     if exact is not None:

@@ -91,12 +91,12 @@ def cmd_hessian(args) -> None:
 
 def cmd_isentrope(args) -> None:
     from .curves import trace_csv, trace_isentrope
+    from .theta import _nodes
     if args.tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     m = _kneading_word(args.seq)
     n = args.steps
-    alphas = [args.alpha_from + (args.alpha_to - args.alpha_from) * i / (n - 1) for i in range(n)] \
-        if n > 1 else [args.alpha_from]
+    alphas = _nodes(args.alpha_from, args.alpha_to, n - 1) if n > 1 else [args.alpha_from]
     points = trace_isentrope(m, alphas, tol=args.tol)
     text = trace_csv(points)
     if args.out:

@@ -9,8 +9,8 @@ as beta rises, so an evaluated grid node proves the sign of the nodes just
 above it; only nodes with no proven sign, or next to a sign change, are
 evaluated.  Rasters evaluate a scalar field on an inclusive rectangular
 grid in deterministic row-major order (top row = largest beta) so
-identical inputs give bit-identical output files.  The grid's last column
-and bottom row are the window's own ends.
+identical inputs give bit-identical output files.  Every grid here is
+``theta._nodes``, which ends at its own ends.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY, Record, _set
 from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
-from .theta import ThetaSpec, _bisect_sign_changes, _sign_reach, theta_row
+from .theta import ThetaSpec, _bisect_sign_changes, _nodes, _sign_reach, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -63,11 +63,8 @@ def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
 
     It reads only the value, so it runs ``theta_row``, which skips the
     roundoff sum where a closed-form majorant already admits the point; the
-    value and the refused points are ``theta_eval``'s."""
-    if spec is None:
-        return NAN
-    (point,) = theta_row(spec, (alpha,), beta)
-    return NAN if type(point[0]) is str else point[0]
+    value, and the NaN at each refused point, are ``theta_eval``'s."""
+    return NAN if spec is None else theta_row(spec, (alpha,), beta)[0]
 
 
 def _side(alpha: float, beta: float, m: KneadingSeq) -> int:
@@ -149,8 +146,10 @@ def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12):
     Each node runs the probes of ``kneading_bisect_beta``.  m's spec, which
     only sets the residuals, is a function of m alone and is made once per
     trace.  A sequence without one fails every node; RL^inf needs none and
-    gives its beta = 1 boundary points.
+    gives its beta = 1 boundary points.  A NaN ``tol`` is refused.
     """
+    if math.isnan(tol):
+        raise ValueError(f"tol must not be NaN, got {tol}")
     try:
         spec = _spec(m)
     except ValueError:
@@ -185,17 +184,18 @@ def counterexample_scan(
     be at least 1; other input is refused before anything is evaluated.
 
     The roots are those of ``sign_change_roots`` over the ``samples + 1``
-    grid nodes, but the grid pass reads only signs, and it evaluates a node
-    only where no sign is proven yet.  On the vertical, |x| and y fall as
-    beta rises, so every magnitude term of the series and every guard input
-    falls too (``theta._sign_reach``).  So an evaluated node with value v
-    proves the sign of v at each node within its reach, (|v| - 3E) / (B
-    margin) above it, where E bounds the error of every point above and B
-    bounds |dTheta/dbeta| there; those nodes are skipped.  B >= 1, so a node
-    with |v| at most the grid step reaches no further node, and its reach
-    is not computed.  A skipped node next to an opposite sign, a zero or a
-    NaN is evaluated after all, so every zero and every bracket end that
-    the bisection reads is a real value, and the bisection is unchanged.
+    nodes ``theta._nodes(beta_lo, beta_hi, samples)``, but the grid pass
+    reads only signs, and it evaluates a node only where no sign is proven
+    yet.  On the vertical, |x| and y fall as beta rises, so every magnitude
+    term of the series and every guard input falls too
+    (``theta._sign_reach``).  So an evaluated node with value v proves the
+    sign of v at each node within its reach, (|v| - 3E) / (B margin) above
+    it, where E bounds the error of every point above and B bounds
+    |dTheta/dbeta| there; those nodes are skipped.  B >= 1, so a node with
+    |v| at most the grid step reaches no further node, and its reach is not
+    computed.  A skipped node next to an opposite sign, a zero or a NaN is
+    evaluated after all, so every zero and every bracket end that the
+    bisection reads is a real value, and the bisection is unchanged.
     """
     if not beta_lo < beta_hi:
         raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
@@ -205,7 +205,7 @@ def counterexample_scan(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     target = spec.to_kneading()
-    ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
+    ts = _nodes(beta_lo, beta_hi, samples)
     step = (beta_hi - beta_lo) / samples
     vals: list[float] = []
     limit, skipped = -math.inf, False  # the last reach's end; whether vals[-1] stands in
@@ -275,34 +275,30 @@ class RasterGrid(Record):
         _set(self, "field", field)
 
     def node(self, col: int, row: int) -> tuple[float, float]:
-        """The node at (col, row): the window's own ends on its last column
-        and bottom row, where the interior formula can round past them."""
-        a0, a1 = self.alpha_range
-        b0, b1 = self.beta_range
-        a = a1 if col == self.width - 1 else a0 + (a1 - a0) * col / (self.width - 1)
-        b = b0 if row == self.height - 1 else b1 - (b1 - b0) * row / (self.height - 1)
-        return a, b
+        """The node at (col, row), read off ``axes``."""
+        alphas, betas = self.axes()
+        return alphas[col], betas[row]
 
     def axes(self) -> tuple[list[float], list[float]]:
-        """Node alphas by column and node betas by row."""
-        return ([self.node(col, 0)[0] for col in range(self.width)],
-                [self.node(0, row)[1] for row in range(self.height)])
+        """Node alphas by column, betas by row (top first): ``_nodes`` end to end."""
+        (a0, a1), (b0, b1) = self.alpha_range, self.beta_range
+        return _nodes(a0, a1, self.width - 1), _nodes(b1, b0, self.height - 1)
 
 
 def raster(field, window, width: int, height: int) -> RasterGrid:
     """Evaluate a field on an inclusive grid over window = (a0, a1, b0, b1).
 
-    Theta fields run one ``theta_row`` per row and emit NaN where the
-    convergence guard refuses evaluation or beta = 0.  Pixels read only the
-    value, and ``theta_row`` is value-only: it skips the roundoff sum where
-    a closed-form majorant already admits the pixel, and every value and
-    refused pixel is the full fold's, so no pixel moves.  The kneading-class
-    field emits -1 outside U and otherwise an integer id assigned per
-    distinct prefix in scan order, building no ``TentParams`` per pixel:
-    the beta half of the U test (0.5 < beta <= 1, and 1 - beta) is made
-    once per row, and a row outside it is all -1.  Each prefix is one
-    ``kneading_prefix_at`` walk, which classifies each iterate with one
-    comparison chain.  The field's pixel loop is chosen once per raster.
+    Theta fields run one ``theta_row`` per row; its values are NaN where
+    the convergence guard refuses evaluation or beta = 0.  ``theta_row`` is
+    value-only: it skips the roundoff sum where a closed-form majorant
+    already admits the pixel, and every value and refused pixel is the full
+    fold's, so no pixel moves.  The kneading-class field emits -1 outside U
+    and otherwise an integer id assigned per distinct prefix in scan order,
+    building no ``TentParams`` per pixel: the beta half of the U test
+    (0.5 < beta <= 1, and 1 - beta) is made once per row, and a row outside
+    it is all -1.  Each prefix is one ``kneading_prefix_at`` walk, which
+    classifies each iterate with one comparison chain.  The field's pixel
+    loop is chosen once per raster.
     """
     a0, a1, b0, b1 = window
     if width < 2 or height < 2:
@@ -317,13 +313,9 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
     if isinstance(field, (ThetaValueField, ThetaSignField)):
         spec, sign = field.spec, isinstance(field, ThetaSignField)
         for b in betas:
-            try:
-                row = theta_row(spec, alphas, b)
-            except ZeroDivisionError:  # beta = 0, where the series is undefined
-                values.extend([NAN] * width)
-                continue
-            values.extend([NAN if type(v := p[0]) is str else v if not sign
-                           else 0.0 if v == 0 else math.copysign(1.0, v) for p in row])
+            row = theta_row(spec, alphas, b)
+            values.extend(row if not sign else [v if math.isnan(v) else 0.0 if v == 0
+                                                else math.copysign(1.0, v) for v in row])
     elif isinstance(field, KneadingClassField):
         class_ids: dict[str, int] = {}
         for b in betas:

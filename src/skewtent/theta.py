@@ -16,11 +16,11 @@ y dS/dy and the second-order ones and follow from them by the chain rule.
 
 Callers that read only the value, the residuals of ``curves`` (scan grid,
 scan bisection, trace nodes) and the pixels of its Theta rasters, call
-``theta_row``, a value-only row at tol 1e-12: where a closed-form majorant
-of the roundoff sum already admits the point, the sum is skipped.  The sum
-decides wherever the majorant does not admit, so the value, the refused
-points and their texts are the full fold's.  ``theta_eval``, and with it
-every ``error_bound`` the CLI prints, always runs the sum.
+``theta_row``, a value-only row at tol 1e-12, NaN at a refused point:
+where a closed-form majorant of the roundoff sum already admits the point,
+the sum is skipped.  The sum decides wherever the majorant does not admit,
+so the values and the refused points are the full fold's.  ``theta_eval``
+always runs the sum, and so does every ``error_bound`` the CLI prints.
 
 On a vertical 0 < alpha < 1, beta > 0, |x| = (1 - alpha)/beta and
 y = alpha/beta fall as beta rises, and with them every term of the
@@ -30,6 +30,7 @@ how far above it the value keeps its sign, from a bound on the error of
 every point above and a bound on |dTheta/dbeta| from the magnitude
 moments.  The counterexample scan skips the grid nodes within that reach;
 ``sign_change_roots`` is its grid pass over ``_bisect_sign_changes``.
+Every grid of the library is ``_nodes``, which ends at its own ends.
 
 The input types pick one of two kernels, once per row or point.  Rational
 inputs (every alpha and beta an int or a Fraction) run the integer kernel
@@ -37,8 +38,8 @@ in ``theta_exact``, imported only then: x and y are written over one
 denominator, the fold runs on integer numerators over a running
 denominator, and one Fraction is formed per result, exact.  Any float input
 runs the generic fold here, which is arithmetic-generic and keeps its float
-operation order.  Both give the same guards, refusal texts,
-``error_bound`` and ``terms_used``.
+operation order.  Both give the same guards, refusal texts and
+``terms_used``, and one ``_roundoff_bound`` makes both ``error_bound``s.
 """
 
 from __future__ import annotations
@@ -248,18 +249,21 @@ def _rational(v) -> bool:
 
 
 def theta_row(spec: ThetaSpec, alphas, beta) -> list:
-    """The value at each alpha of a row at one beta, at tol 1e-12, each
-    point as ``_generic_row`` gives it at order 0, for callers that read
-    only the value (residuals and raster pixels).  Rational inputs run the
-    integer kernel.  Any float input runs the generic fold value only: it
-    skips the roundoff sum where the majorant admits the point, so the
-    error_bound there is the majorant's, never smaller than the sum's."""
-    if _rational(beta):
-        alphas = tuple(alphas)
-        if all(map(_rational, alphas)):
-            from .theta_exact import point
-            return [point(spec, alpha, beta, 1e-12, 0) for alpha in alphas]
-    return _generic_row(spec, alphas, beta, 1e-12, 0, True)
+    """The value at each alpha of a row at one beta, at tol 1e-12, as
+    ``_generic_row`` gives it, NaN at a refused point and at beta = 0, where
+    the series is undefined.  Rational inputs run the integer kernel."""
+    if not beta:
+        return [math.nan for _ in alphas]
+    alphas = tuple(alphas)
+    if _rational(beta) and all(map(_rational, alphas)):
+        from .theta_exact import point
+        row = [point(spec, alpha, beta, 1e-12, 0) for alpha in alphas]
+    else:
+        row = _generic_row(spec, alphas, beta, 1e-12, 0, True)
+    values = []  # a loop, not a comprehension: cheaper on the one-point rows of curves
+    for p in row:
+        values.append(math.nan if type(p[0]) is str else p[0])
+    return values
 
 
 # The majorant's margin over rounding: the roundoff sum's own, a factor
@@ -330,25 +334,28 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         mags = []  # mags[i] = |us[i]|
         for u in us:
             mags.append(abs(float(u)))
-        weight = 3 * abs(float(c))  # the tail's first period, weighted 3 |1/(1 - rho)|
+        weight = 3 * abs(float(c))
+        bound = None
         if value_only and (top := max(mags)) < 1:
             q = top / (1 - top)
             bound = 8e-16 * ((q + weight * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
-            if bound <= tol:
-                row.append((1 - beta + acc, bound, terms))
-                continue
-        mag = 0.0
-        for i in period_rev:
-            mag = mags[i] * (1 + mag)
-        mag = weight * mag
-        for i in head_rev:
-            mag = mags[i] * (1 + mag)
-        bound = 8e-16 * (mag + 1.0)
-        if bound > tol:
-            row.append((_BOUND_REFUSAL, bound, tol))
-        else:
-            row.append((1 - beta + acc, bound, terms))
+        if bound is None or bound > tol:  # no majorant, or it does not admit: the sum decides
+            bound = _roundoff_bound(spec, mags, weight)
+        row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (1 - beta + acc, bound, terms))
     return row
+
+
+def _roundoff_bound(spec: ThetaSpec, mags, weight) -> float:
+    """Both kernels' roundoff bound: mag -> |u| (1 + mag) folded as the value
+    folds, from |u| by distinct gap, the tail's first period weighted 3 |c|."""
+    head_rev, period_rev = spec._plan[:2]
+    mag = 0.0
+    for i in period_rev:
+        mag = mags[i] * (1 + mag)
+    mag = weight * mag
+    for i in head_rev:
+        mag = mags[i] * (1 + mag)
+    return 8e-16 * (mag + 1.0)
 
 
 def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> float:
@@ -401,7 +408,10 @@ def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
 
 
 def theta_eval(spec: ThetaSpec, alpha, beta, tol: float = 1e-12) -> ThetaValue:
-    """Series value with a closed-form tail, its roundoff bound always summed."""
+    """Series value with a closed-form tail, its roundoff bound always
+    summed; a NaN ``tol``, which every bound would pass, is refused."""
+    if math.isnan(tol):
+        raise ValueError(f"tol must not be NaN, got {tol}")
     return ThetaValue(*_point(spec, alpha, beta, 0, tol))
 
 
@@ -471,6 +481,11 @@ def m1_first_return(alpha, beta) -> int:
     return m
 
 
+def _nodes(lo, hi, n: int) -> list:
+    """The n + 1 nodes lo + (hi - lo) i / n, the last one hi itself."""
+    return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
+
+
 def sign_change_roots(f, xs) -> list:
     """Roots of f located by sign changes between consecutive nodes xs,
     which must increase: a bracket with descending ends is not bisected.
@@ -513,7 +528,7 @@ def diagonal_stationary_beta(spec: ThetaSpec) -> float:
 
     Theta vanishes identically on the diagonal, so d_beta = -d_alpha there
     and it suffices to find the root of d_alpha along the diagonal.  Among
-    the sign-change roots on the grid lo + (hi - lo) i / grid, with lo =
+    the sign-change roots on the grid ``_nodes(lo, hi, grid)``, with lo =
     0.505, hi = 0.9985 and grid = 1024, the one consistent with the
     first-return bracket (blo, bhi) for the spec's own m1 is returned.
     Only the grid nodes from the last one <= blo through the first one >=
@@ -524,7 +539,7 @@ def diagonal_stationary_beta(spec: ThetaSpec) -> float:
     """
     lo, hi, grid = _STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID
     m1 = spec.m1
-    xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
+    xs = _nodes(lo, hi, grid)
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)
     blo = (m1 - 1) / m1 if m1 > 1 else 0.0
     bhi = (m1 + 2) / (m1 + 3)

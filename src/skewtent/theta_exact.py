@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .theta import (_BOUND_REFUSAL, _RATIO_REFUSAL, _STEPS, _TAIL_REFUSAL, Quadratic2D, ThetaSpec,
-                    _generic_row)
+                    _generic_row, _roundoff_bound)
 
 _RATIO_CUTOFF = (0.999).as_integer_ratio()  # the float 0.999, exactly
 
@@ -75,14 +75,7 @@ def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
         pws.append(den ** (gap + 1))
     if not order:
         # int / int rounds as float(Fraction) does, so these are the generic floats
-        mags = [abs(v) / pw for v, pw in zip(vs, pws)]
-        mag = 0.0
-        for i in period_rev:
-            mag = mags[i] * (1 + mag)
-        mag = 3 * (w / abs(e)) * mag
-        for i in head_rev:
-            mag = mags[i] * (1 + mag)
-        bound = 8e-16 * (mag + 1.0)
+        bound = _roundoff_bound(spec, [abs(v) / pw for v, pw in zip(vs, pws)], 3 * (w / abs(e)))
         if bound > tol:
             return (_BOUND_REFUSAL, bound, tol)
     step, zero = _STEPS[order]

@@ -142,6 +142,17 @@ def test_isentrope_stdout():
     assert out.startswith("alpha,beta,value\n")
 
 
+def test_isentrope_alphas_end_at_alpha_to():
+    # the last node used to be 0.35 + 0.3 * 7 / 7 = 0.6500000000000001
+    rc, out, _ = run_cli([
+        "isentrope", "--seq", "RLC", "--alpha-from", "0.35", "--alpha-to", "0.65", "--steps", "8",
+    ])
+    assert rc == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 8
+    assert rows[0].split(",")[0] == "0.35" and rows[-1].split(",")[0] == "0.65"
+
+
 def test_raster_pgm_and_determinism(tmp_path):
     args = ["raster", "--field", "theta_sign", "--preset", "thex",
             "--window", "0.3,0.9,0.55,0.99", "--size", "24x24",

@@ -73,6 +73,13 @@ def test_bisect_ends_at_adjacent_floats(alpha, tol):
     assert pt.beta == pytest.approx(kneading_bisect_beta(parse_seq("RLC"), alpha).beta, abs=1e-11)
 
 
+def test_trace_refuses_a_nan_tol():
+    # every bisection test against NaN fails, so the trace used to return
+    # the midpoint of its first bracket (beta 0.8000000005 at alpha 0.6)
+    with pytest.raises(ValueError, match="tol must not be NaN"):
+        trace_isentrope(parse_seq("RLC"), [0.6], tol=math.nan)
+
+
 def test_bisect_bracket_sides():
     # comparison at the bracket bottom is Less and at the top Greater
     from skewtent import compare_prefix
@@ -283,7 +290,7 @@ def test_scan_residuals_are_theta_eval_values(monkeypatch, alpha0, lo, hi):
     if alpha0 == 0.52:  # below beta = 1 - alpha0 the ratio guard refuses
         assert any(math.isnan(v) for v in seen.values())
     skipped = 0
-    for t in [lo + (hi - lo) * i / 400 for i in range(401)]:
+    for t in [lo + (hi - lo) * i / 400 for i in range(400)] + [hi]:
         if t in seen:
             proven = seen[t]
             continue
@@ -291,6 +298,23 @@ def test_scan_residuals_are_theta_eval_values(monkeypatch, alpha0, lo, hi):
         ref = theta_eval(spec, alpha0, t)
         assert ref.value * proven > 0 and abs(ref.value) > ref.error_bound
     assert skipped > 200
+
+
+@pytest.mark.parametrize("alpha0, lo, hi, samples", [
+    (THEX_ALPHA0, 0.535, 0.995, 400),  # the last node used to be 0.9950000000000001
+    (THEX_ALPHA0, 0.09278634793595067, 1.0, 188),  # and here 1.0000000000000002, outside (0, 1]
+])
+def test_scan_grid_ends_at_beta_hi(monkeypatch, alpha0, lo, hi, samples):
+    seen = []
+    residual = curves._residual
+
+    def recording(spec, a, t):
+        seen.append(t)
+        return residual(spec, a, t)
+
+    monkeypatch.setattr(curves, "_residual", recording)
+    assert counterexample_scan(thex_spec(), alpha0, lo, hi, samples)
+    assert min(seen) == lo and max(seen) <= hi
 
 
 @pytest.mark.parametrize("word", ["RLC", "RLLRC"])

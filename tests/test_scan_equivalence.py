@@ -15,14 +15,15 @@ from skewtent.theta import sign_change_roots
 
 
 def _full_grid_scan(spec, alpha0, beta_lo, beta_hi, samples=400):
-    """The scan as it was: every grid node evaluated, then bisected."""
+    """The scan as it was: every grid node evaluated, then bisected.  The
+    last node is beta_hi itself, as in the scan's grid."""
     if not beta_lo < beta_hi:
         raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
     if not (0 < alpha0 < 1 and 0 < beta_lo and beta_hi <= 1):
         raise ValueError(f"the scan needs alpha0 in (0,1) and beta in (0,1], "
                          f"got alpha0={alpha0} and beta range [{beta_lo}, {beta_hi}]")
     target = spec.to_kneading()
-    ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples + 1)]
+    ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples)] + [beta_hi]
     roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts)
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")

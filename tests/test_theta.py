@@ -32,7 +32,8 @@ from skewtent import (
 )
 from skewtent import theta_exact
 from skewtent.cli import main as cli_main
-from skewtent.theta import _BOUND_REFUSAL, _generic_row, _sign_reach, sign_change_roots, theta_row
+from skewtent.theta import (_BOUND_REFUSAL, _generic_row, _nodes, _sign_reach, sign_change_roots,
+                            theta_row)
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
 RLLRC = ThetaSpec.from_seq(parse_seq("RLLRC"))
@@ -343,15 +344,26 @@ def _exact_point(spec, a, b, tol, order):
     return Fraction(xn, den), Fraction(yn, den), tuple(Fraction(n, one) for n in nums)
 
 
+def _assert_row_values(got, points):
+    """theta_row's values against kernel points: each admitted point's
+    value, of its type and bit for bit, and NaN exactly where refused."""
+    assert len(got) == len(points)
+    for v, p in zip(got, points):
+        if type(p[0]) is str:
+            assert type(v) is float and math.isnan(v)
+        else:
+            assert type(v) is type(p[0]) and repr(v) == repr(p[0])
+
+
 @given(gap_specs(), rational_points(), st.sampled_from([1e-12, 1e-15, 1e-20]))
 @settings(max_examples=300, deadline=None)
 def test_integer_kernel_matches_generic_fold(spec, point, tol):
     # values and moments equal exactly, error_bound and terms_used bit for
     # bit, and a refused point refused with the same text; theta_row on
-    # rational inputs is the kernel's value at tol 1e-12
+    # rational inputs is the kernel's value at tol 1e-12, NaN where refused
     a, b = point
     if tol == 1e-12:
-        assert theta_row(spec, [a], b) == [theta_exact.point(spec, a, b, tol, 0)]
+        _assert_row_values(theta_row(spec, [a], b), [theta_exact.point(spec, a, b, tol, 0)])
     for order in (0, 1, 2):
         got = _exact_point(spec, a, b, tol, order)
         (ref,) = _generic_row(spec, [Fraction(a)], Fraction(b), tol, order)
@@ -372,10 +384,20 @@ def test_integer_kernel_matches_generic_fold(spec, point, tol):
 
 def test_float_and_mixed_inputs_take_the_generic_fold():
     for a, b in [(0.62, 0.8), (Fraction(31, 50), 0.8), (0.62, Fraction(4, 5))]:
-        assert theta_row(THEX, [a, 0.5], b) == _generic_row(THEX, [a, 0.5], b, 1e-12, 0, True)
+        _assert_row_values(theta_row(THEX, [a, 0.5], b), _generic_row(THEX, [a, 0.5], b, 1e-12, 0, True))
         assert type(theta_eval(THEX, a, b).value) is float
-    assert theta_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5)) == _generic_row(
-        THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0, True)
+    _assert_row_values(theta_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5)),
+                       _generic_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0, True))
+
+
+@pytest.mark.parametrize("beta", [0, 0.0, -0.0, Fraction(0)])
+def test_theta_row_at_beta_zero_is_nan(beta):
+    # the series is undefined at beta = 0: theta_row gives a row of NaN,
+    # while a one-point evaluation still raises
+    row = theta_row(THEX, [0.5, Fraction(1, 2), 1], beta)
+    assert len(row) == 3 and all(type(v) is float and math.isnan(v) for v in row)
+    with pytest.raises(ZeroDivisionError):
+        theta_eval(THEX, 0.5, beta)
 
 
 # ------------------------------------------------------------ value-only rows
@@ -407,7 +429,7 @@ def _value_only_row(spec, a, b, tol):
     """The value-only generic row at (a, b); at tol 1e-12 it is theta_row."""
     row = _generic_row(spec, (a,), b, tol, 0, True)
     if tol == 1e-12:
-        assert theta_row(spec, (a,), b) == row
+        _assert_row_values(theta_row(spec, (a,), b), row)
     return row
 
 
@@ -485,8 +507,8 @@ def test_sign_reach_proves_the_sign_above(spec, point, t):
     # point's sign beyond twice the float error bound, so the float value
     # there has that sign and exceeds its own error bound
     a, b = point
-    ((v, *_),) = theta_row(spec, (a,), b)
-    assume(type(v) is not str)
+    (v,) = theta_row(spec, (a,), b)
+    assume(not math.isnan(v))
     reach = _sign_reach(spec, a, b, v)
     assume(reach > 0)
     above = b + t * reach
@@ -550,6 +572,18 @@ def test_refusal_texts_are_pinned(argv, message):
     with contextlib.redirect_stderr(err):
         assert cli_main(["theta", *argv]) == 1
     assert err.getvalue() == json.dumps({"error": message, "kind": "ConvergenceError"}) + "\n"
+
+
+@pytest.mark.parametrize("spec", [RLC, THEX])
+def test_nan_tol_is_refused(spec):
+    # every bound test against NaN fails, so a NaN tol used to admit every
+    # point; tol <= 0 still refuses each one on its bound
+    for a, b in [(0.62, 0.8), (Fraction(31, 50), Fraction(4, 5))]:
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            theta_eval(spec, a, b, math.nan)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ConvergenceError, match="exceeds requested tol"):
+            theta_eval(spec, 0.62, 0.8, tol)
 
 
 def test_evaluation_below_diagonal():
@@ -635,6 +669,18 @@ def test_diagonal_stationary_betas():
     assert diagonal_stationary_beta(RLC) == pytest.approx(2 / 3, abs=1e-10)
     assert diagonal_stationary_beta(RLLRC) == pytest.approx(0.5 + math.sqrt(5) / 10, abs=1e-10)
     assert diagonal_stationary_beta(THEX) == pytest.approx(6 / 7, abs=1e-10)
+
+
+# ------------------------------------------------------------ grid nodes
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0.535, 0.995, 400), (0.09278634793595067, 1.0, 188),
+                                       (0.35, 0.65, 7), (0.9, 0.1, 3), (0.505, 0.9985, 1024)])
+def test_nodes_end_at_their_own_ends(lo, hi, n):
+    # lo + (hi - lo) n / n rounds past hi for the first three
+    xs = _nodes(lo, hi, n)
+    assert len(xs) == n + 1 and xs[0] == lo and xs[-1] == hi
+    assert xs[:-1] == [lo + (hi - lo) * i / n for i in range(n)]
 
 
 # ------------------------------------------------------------ sign-change roots
