@@ -314,7 +314,7 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
         spec, sign = field.spec, isinstance(field, ThetaSignField)
         for b in betas:
             row = theta_row(spec, alphas, b)
-            values.extend(row if not sign else [v if math.isnan(v) else 0.0 if v == 0
+            values.extend(row if not sign else [v if v != v else 0.0 if v == 0.0  # v != v: NaN
                                                 else math.copysign(1.0, v) for v in row])
     elif isinstance(field, KneadingClassField):
         class_ids: dict[str, int] = {}

@@ -12,7 +12,11 @@ one [0, 1] guard compare that can fire there (x < 0 on the left, x > 1
 on the right) and the branch that moves x.
 
 All arithmetic is type generic: passing ``fractions.Fraction`` parameters
-gives exact orbits, floats give the usual double precision ones.
+gives exact orbits, floats give the usual double precision ones.  The
+walkers guard and step with 0.0 and 1.0 when beta is a float, so every
+iterate is a float and runs the interpreter's float fast path, and with the
+ints for any other beta, so an exact orbit stays exact.  No bit moves:
+1 - x and 1.0 - x round alike for a float x.
 """
 
 from __future__ import annotations
@@ -85,21 +89,22 @@ def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
     lam, mu = x / alpha, x / (1 - alpha)  # the slopes of tent_eval, inlined below
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    zero, one = (0.0, 1.0) if type(beta) is float else (0, 1)
     for _ in range(n):
         if x < alpha:
             if eps_c and alpha - x <= eps_c:
                 break
-            if x < 0:
+            if x < zero:
                 raise ValueError(f"x={x} outside [0,1]")
             syms.append(L)
             x = lam * x
         elif x > alpha:
             if eps_c and x - alpha <= eps_c:
                 break
-            if x > 1:
+            if x > one:
                 raise ValueError(f"x={x} outside [0,1]")
             syms.append(R)
-            x = mu * (1 - x)
+            x = mu * (one - x)
         elif x == alpha and eps_c >= 0:
             break
         else:
@@ -133,11 +138,12 @@ def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
     lam, mu = x / alpha, x / (1 - alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    zero, one = (0.0, 1.0) if type(beta) is float else (0, 1)
     odd = False  # the symbols read so far hold an odd number of R's
     for t in target:
         if x < alpha:
             if not (eps_c and alpha - x <= eps_c):
-                if x < 0:
+                if x < zero:
                     raise ValueError(f"x={x} outside [0,1]")
                 if t != L:
                     return GREATER if odd else LESS
@@ -145,12 +151,12 @@ def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
                 continue
         elif x > alpha:
             if not (eps_c and x - alpha <= eps_c):
-                if x > 1:
+                if x > one:
                     raise ValueError(f"x={x} outside [0,1]")
                 if t != R:
                     return LESS if odd else GREATER
                 odd = not odd
-                x = mu * (1 - x)
+                x = mu * (one - x)
                 continue
         elif not (x == alpha and eps_c >= 0):  # NaN, or x == alpha with eps_c < 0 or NaN: R
             if t != R:

@@ -40,6 +40,12 @@ denominator, and one Fraction is formed per result, exact.  Any float input
 runs the generic fold here, which is arithmetic-generic and keeps its float
 operation order.  Both give the same guards, refusal texts and
 ``terms_used``, and one ``_roundoff_bound`` makes both ``error_bound``s.
+A one-point evaluation refuses beta = 0, where the series is undefined.
+
+The generic fold's 1 is the float 1.0 on a row whose beta and every alpha
+are floats, so each step is float with float, the interpreter's float fast
+path; a rational or mixed row keeps the int 1, as Fraction - 1.0 would
+round through a float.  No bit moves: 1 + v and 1.0 + v round alike.
 """
 
 from __future__ import annotations
@@ -179,7 +185,7 @@ class Quadratic2D(Record):
 # A zero gap drops every g-term, which keeps exact numbers small.  Each
 # step is linear in (1, acc), so with ``one`` in place of 1 it also steps
 # numerators over a running denominator ``one``, as the integer kernel
-# does; the generic fold passes 1 and folds the value alone (order 0) inline.
+# does; the generic fold passes its row's 1 and folds the value alone inline.
 
 
 def _step0(u, g, acc, one):
@@ -206,11 +212,11 @@ def _step2(u, g, acc, one):
 _STEPS = {0: (_step0, (0,)), 1: (_step1, (0,) * 3), 2: (_step2, (0,) * 6)}
 
 
-def _fold(step, us, distinct, gaps_rev, acc):
+def _fold(step, us, distinct, gaps_rev, acc, one):
     """Apply the Horner step for each gap of ``gaps_rev`` (last gap first),
     given as positions in ``distinct``, whose u = x y^g are ``us``."""
     for i in gaps_rev:
-        acc = step(us[i], distinct[i], acc, 1)
+        acc = step(us[i], distinct[i], acc, one)
     return acc
 
 
@@ -293,16 +299,18 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
     admitted by the sum too.  Otherwise (M >= 1, NaN, or a majorant above
     ``tol``) the sum runs and decides, so the refusals do not move."""
     head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
+    # the row's 1: float on all-float rows, int on the others (module docstring)
+    one = 1.0 if type(beta) is float and all(type(a) is float for a in alphas) else 1
     row = []
     for alpha in alphas:
-        x = (alpha - 1) / beta
+        x = (alpha - one) / beta
         y = alpha / beta
         if not -math.inf < y < math.inf:  # 1/beta overflowed (or NaN): x y^g would be 0 inf
             row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
             continue
         # dominating term ratio |x| max(1, y)^{m1}, infinite past float range
         try:
-            eta = abs(x) * y ** m1 if y > 1 else abs(x)
+            eta = abs(x) * y ** m1 if y > one else abs(x)
         except OverflowError:
             eta = math.inf
         if eta >= 0.999:
@@ -310,7 +318,7 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
             continue
         try:
             rho = x ** r * y ** s
-            if abs(rho) >= 1:
+            if abs(rho) >= one:
                 row.append(_TAIL_REFUSAL)
                 continue
             us = []  # us[i] = x y^g for the i-th distinct gap g
@@ -319,29 +327,29 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         except OverflowError:  # a power past float range (y < -1), refused as y ** m1 is
             row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
             continue
-        c = 1 / (1 - rho)
+        c = one / (one - rho)
         if order:
             step, zero = _STEPS[order]
-            tail = _fixed_point_tail(_fold(step, us, distinct, period_rev, zero), rho, c, r, s)
-            row.append((x, y, _fold(step, us, distinct, head_rev, tail)))
+            tail = _fixed_point_tail(_fold(step, us, distinct, period_rev, zero, one), rho, c, r, s)
+            row.append((x, y, _fold(step, us, distinct, head_rev, tail, one)))
             continue
         acc = 0
         for i in period_rev:
-            acc = us[i] * (1 + acc)
+            acc = us[i] * (one + acc)
         acc = c * acc
         for i in head_rev:
-            acc = us[i] * (1 + acc)
+            acc = us[i] * (one + acc)
         mags = []  # mags[i] = |us[i]|
         for u in us:
             mags.append(abs(float(u)))
-        weight = 3 * abs(float(c))
+        weight = 3.0 * abs(float(c))
         bound = None
-        if value_only and (top := max(mags)) < 1:
-            q = top / (1 - top)
+        if value_only and (top := max(mags)) < 1.0:
+            q = top / (1.0 - top)
             bound = 8e-16 * ((q + weight * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
         if bound is None or bound > tol:  # no majorant, or it does not admit: the sum decides
             bound = _roundoff_bound(spec, mags, weight)
-        row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (1 - beta + acc, bound, terms))
+        row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (one - beta + acc, bound, terms))
     return row
 
 
@@ -351,10 +359,10 @@ def _roundoff_bound(spec: ThetaSpec, mags, weight) -> float:
     head_rev, period_rev = spec._plan[:2]
     mag = 0.0
     for i in period_rev:
-        mag = mags[i] * (1 + mag)
+        mag = mags[i] * (1.0 + mag)
     mag = weight * mag
     for i in head_rev:
-        mag = mags[i] * (1 + mag)
+        mag = mags[i] * (1.0 + mag)
     return 8e-16 * (mag + 1.0)
 
 
@@ -377,26 +385,28 @@ def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> flo
     The margin covers the rounding of these folds of positive terms, as it
     does the majorant's."""
     head_rev, period_rev, distinct, r, s = spec._plan[:5]
-    ax = (1 - alpha) / beta
+    ax = (1.0 - alpha) / beta
     y = alpha / beta
     mags = [ax * y ** gap for gap in distinct]
     top = max(mags)  # at most eta, and |rho| at most eta^r: the point is admitted
     arho = ax ** r * y ** s
-    q = top / (1 - top)
-    bound = 8e-16 * ((q + 3 / (1 - arho) * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
-    lead = abs(value) - 3 * bound
-    if bound > 1e-12 or lead <= 0:
+    q = top / (1.0 - top)
+    bound = 8e-16 * ((q + 3.0 / (1.0 - arho) * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
+    lead = abs(value) - 3.0 * bound
+    if bound > 1e-12 or lead <= 0.0:
         return 0.0
-    tail = _fixed_point_tail(_fold(_step1, mags, distinct, period_rev, _STEPS[1][1]),
-                             arho, 1 / (1 - arho), r, s)
-    _, k, m = _fold(_step1, mags, distinct, head_rev, tail)
-    return lead / ((1 + (k + m) / beta) * _MAJORANT_MARGIN)
+    tail = _fixed_point_tail(_fold(_step1, mags, distinct, period_rev, _STEPS[1][1], 1.0),
+                             arho, 1.0 / (1.0 - arho), r, s)
+    _, k, m = _fold(_step1, mags, distinct, head_rev, tail, 1.0)
+    return lead / ((1.0 + (k + m) / beta) * _MAJORANT_MARGIN)
 
 
 def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
     """One point through the kernel its inputs pick; a refused point raises
-    ``ConvergenceError``.  At order 1 or 2 the integer kernel gives its
-    numerators, see ``theta_exact.point``."""
+    ``ConvergenceError``, as is beta = 0.  At order 1 or 2 the integer
+    kernel gives its numerators, see ``theta_exact.point``."""
+    if not beta:
+        raise ConvergenceError(f"series undefined at beta = 0, got beta={beta}")
     if _rational(alpha) and _rational(beta):
         from . import theta_exact
         point = theta_exact.point(spec, alpha, beta, tol, order)

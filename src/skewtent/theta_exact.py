@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .theta import (_BOUND_REFUSAL, _RATIO_REFUSAL, _STEPS, _TAIL_REFUSAL, Quadratic2D, ThetaSpec,
-                    _generic_row, _roundoff_bound)
+                    _roundoff_bound)
 
 _RATIO_CUTOFF = (0.999).as_integer_ratio()  # the float 0.999, exactly
 
@@ -50,11 +50,10 @@ def _tail(a, rn, e, r: int, s: int):
 
 
 def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
-    """``theta._generic_row`` at one rational point: a refusal as a format
-    string and arguments, (value, error_bound, terms_used) at order 0, or at
-    order 1 or 2 (moment numerators, their denominator, xn, yn, den, q, b)."""
-    if not beta:  # the generic fold raises ZeroDivisionError, as it always has
-        return _generic_row(spec, (alpha,), beta, tol, order)[0]
+    """``theta._generic_row`` at one rational point, beta nonzero: a refusal
+    as a format string and arguments, (value, error_bound, terms_used) at
+    order 0, or at order 1 or 2 (moment numerators, their denominator, xn,
+    yn, den, q, b)."""
     head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
     ad, bd = alpha.denominator, beta.denominator
     q = math.lcm(ad, bd)

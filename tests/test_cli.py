@@ -218,7 +218,7 @@ def test_error_is_machine_readable():
 @pytest.mark.parametrize("args, says", [
     (["theta", "--seq", "RLC", "--alpha", "nan", "--beta", "0.7"], "--alpha must be finite"),
     (["grad", "--seq", "RLC", "--alpha", "nan", "--beta", "0.7"], "--alpha must be finite"),
-    (["theta", "--seq", "RLC", "--alpha", "0.6", "--beta", "0"], "division by zero"),
+    (["theta", "--seq", "RLC", "--alpha", "0.6", "--beta", "0"], "series undefined at beta = 0"),
     (["knead", "--alpha", "0.6", "--beta", "0.8", "--depth", "-3"], "--depth must be positive"),
     (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "0"],
      "--steps must be positive"),
@@ -266,6 +266,15 @@ def test_bad_input_is_one_json_error_line(args, says):
     doc = json.loads(line)
     assert set(doc) == {"error", "kind"}
     assert says in doc["error"]
+
+
+@pytest.mark.parametrize("command", ["theta", "grad", "hessian"])
+def test_beta_zero_is_a_convergence_error(command):
+    # the series is undefined at beta = 0; it used to end in ZeroDivisionError
+    rc, out, err = run_cli([command, "--seq", "RLC", "--alpha", "0.6", "--beta", "0"])
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {"error": "series undefined at beta = 0, got beta=0.0",
+                               "kind": "ConvergenceError"}
 
 
 def test_infinite_y_is_a_convergence_error():

@@ -7,7 +7,9 @@ on ``abs(x - alpha)``, a two-sided [0, 1] guard and a side compare.  For
 alpha in (0, 1) the walkers must give the same symbols, orders, exceptions
 and texts for any beta, length and ``eps_c``, on floats and on Fractions.
 Outside (0, 1) they now refuse alpha, after the slopes are made, so alpha
-= 0 or 1 still raises ``ZeroDivisionError``.
+= 0 or 1 still raises ``ZeroDivisionError``.  The walkers' constants are
+floats for a float beta and ints for any other; the frozen loops keep int
+constants throughout, so they also hold the float ones to the same bits.
 """
 
 import math
@@ -81,10 +83,11 @@ def _outcome(f, *args):
 
 
 def _points(seed: int = 11):
-    """(alpha, beta) pairs of one type, alpha in (0, 1) and some next to
-    its ends: beta drawn from [-0.1, 1.3], and beta = 1, 1 - alpha (whose
-    first iterate is alpha itself), alpha, 0, NaN for floats, and points
-    on and next to traced curves."""
+    """(alpha, beta) pairs, alpha in (0, 1) and some next to its ends:
+    beta drawn from [-0.1, 1.3] of alpha's type, and beta = 1, 1 - alpha
+    (whose first iterate is alpha itself), alpha, 0, NaN for floats, the
+    int 1 with a float alpha (an int orbit start that turns float), and
+    points on and next to traced curves."""
     rng = random.Random(seed)
     floats = [rng.uniform(0.01, 0.99) for _ in range(14)]
     floats += [math.ulp(0.0), 2.0 ** -1022, 1e-9, 0.25, 0.5, 0.6, 1 - 1e-9, math.nextafter(1.0, 0.0)]
@@ -93,7 +96,7 @@ def _points(seed: int = 11):
     pts = []
     for a in floats:
         pts += [(a, rng.uniform(-0.1, 1.3)) for _ in range(6)]
-        pts += [(a, 1.0), (a, 1 - a), (a, a), (a, 0.0), (a, NAN)]
+        pts += [(a, 1.0), (a, 1 - a), (a, a), (a, 0.0), (a, NAN), (a, 1)]
     for a in fracs:
         pts += [(a, Fraction(rng.randint(-10, 130), 100)) for _ in range(6)]
         pts += [(a, Fraction(1)), (a, 1 - a), (a, a), (a, Fraction(0))]
@@ -150,7 +153,7 @@ def test_nan_beta_and_an_orbit_on_alpha_take_the_r_path():
 def walks(draw):
     if draw(st.booleans()):
         a = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
-        b = draw(st.floats(-0.1, 1.3) | st.sampled_from([1.0, 1 - a, a, NAN]))
+        b = draw(st.floats(-0.1, 1.3) | st.sampled_from([1.0, 1 - a, a, NAN, 1]))
     else:
         a = draw(st.fractions(0, 1, max_denominator=60).filter(lambda v: 0 < v < 1))
         b = draw(st.fractions(Fraction(-1, 10), Fraction(13, 10), max_denominator=60)
@@ -196,7 +199,8 @@ def test_alpha_at_an_end_divides_by_zero(alpha):
 
 def test_c_at_zero_tolerance_needs_an_exact_hit():
     # mixed Fraction and float: the exact compare decides the side, where
-    # abs(x - alpha) rounded the difference to 0 and gave C
+    # abs(x - alpha) rounded the difference to 0 and gave C; a Fraction
+    # beta keeps the int constants, so 1 - x stays exact
     a, b = 1 / 3, Fraction(1, 3)
     assert _prefix_before(a, b, 3) == [C]
     assert kneading_prefix_at(a, b, 3) == [R, L, L]

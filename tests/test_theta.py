@@ -393,11 +393,13 @@ def test_float_and_mixed_inputs_take_the_generic_fold():
 @pytest.mark.parametrize("beta", [0, 0.0, -0.0, Fraction(0)])
 def test_theta_row_at_beta_zero_is_nan(beta):
     # the series is undefined at beta = 0: theta_row gives a row of NaN,
-    # while a one-point evaluation still raises
+    # while a one-point evaluation refuses it, at each order
     row = theta_row(THEX, [0.5, Fraction(1, 2), 1], beta)
     assert len(row) == 3 and all(type(v) is float and math.isnan(v) for v in row)
-    with pytest.raises(ZeroDivisionError):
-        theta_eval(THEX, 0.5, beta)
+    for f in (theta_eval, theta_grad, theta_hessian):
+        for alpha in (0.5, Fraction(1, 2)):
+            with pytest.raises(ConvergenceError, match="series undefined at beta = 0"):
+                f(THEX, alpha, beta)
 
 
 # ------------------------------------------------------------ value-only rows
