@@ -15,7 +15,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .symbolic import C, L, R, parse_word
+from .symbolic import L, R, parse_word
 from .theta import Quadratic2D, sign_change_roots
 
 Monomial = tuple[int, int]  # (alpha exponent, beta exponent)
@@ -74,9 +74,7 @@ class BivarPoly:
         out = [Fraction(0)] * (deg + 1)
         for (i, j), v in self.coeffs.items():
             out[i + j] += v
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
+        return _upoly_trim(out)
 
     @property
     def is_zero(self) -> bool:
@@ -105,7 +103,7 @@ class BivarPoly:
 # -- branch composition ---------------------------------------------------------
 
 
-def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
+def compose_branch_condition(word: str) -> BivarPoly:
     """Numerator polynomial of the condition T^n(beta) = alpha along a word.
 
     The word names the branch applied at each orbit point, starting with the
@@ -118,16 +116,9 @@ def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
     and the diagonal.  Content is removed and the sign fixed so the leading
     graded-lex monomial (alpha first) is positive.
     """
-    if isinstance(word, str):
-        syms = parse_word(word)
-    else:
-        syms = tuple(word)
-        if syms and syms[-1] == C:
-            syms = syms[:-1]
+    syms = parse_word(word)
     if not syms:
         raise ValueError("empty word")
-    if any(s == C for s in syms):
-        raise ValueError("C may only terminate the word")
     if syms[0] != R:
         raise ValueError("word must start with R")
 
@@ -135,10 +126,8 @@ def compose_branch_condition(word: str | Sequence[str]) -> BivarPoly:
     for s in syms:
         if s == L:  # (beta/alpha) x
             num, den = _shift(num, 0, 1), _shift(den, 1, 0)
-        elif s == R:  # beta (x - 1) / (alpha - 1)
+        else:  # R: beta (x - 1) / (alpha - 1)
             num, den = _shift(_difference(num, den), 0, 1), _difference(_shift(den, 1, 0), den)
-        else:
-            raise ValueError(f"branch symbol must be L or R, got {s!r}")
     out = _difference(num, _shift(den, 1, 0))
     lead = max(out, key=lambda k: (k[0] + k[1], k[0]))
     g = gcd(*out.values()) if out[lead] > 0 else -gcd(*out.values())
@@ -255,8 +244,7 @@ def diagonal_critical_points(p: BivarPoly) -> list:
     These are the candidate diagonal meeting points of the implicit curve.
     Requires p to vanish identically on the diagonal (checked exactly).
     """
-    diag = p.substitute_diagonal()
-    if _upoly_trim(diag) != [Fraction(0)]:
+    if any(p.substitute_diagonal()):
         raise ValueError("polynomial does not vanish on the diagonal")
     q = p.partial("alpha").substitute_diagonal()
     roots = isolate_real_roots(q, Fraction(1, 2), Fraction(1))

@@ -58,13 +58,13 @@ THEX_BETAS = (0.535, 0.7, 0.995)
 # -- curve location -------------------------------------------------------
 
 
-def _residual(spec: ThetaSpec | None, alpha: float, beta: float) -> float:
-    """Theta at (alpha, beta), NaN where it is refused or there is no spec.
+def _residual(spec: ThetaSpec, alpha: float, beta: float) -> float:
+    """Theta at (alpha, beta), NaN where it is refused.
 
     It reads only the value, so it runs ``theta_row``, which skips the
     roundoff sum where a closed-form majorant already admits the point; the
     value, and the NaN at each refused point, are ``theta_eval``'s."""
-    return NAN if spec is None else theta_row(spec, (alpha,), beta)[0]
+    return theta_row(spec, (alpha,), beta)[0]
 
 
 def _side(alpha: float, beta: float, m: KneadingSeq) -> int:

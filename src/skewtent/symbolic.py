@@ -147,9 +147,6 @@ class KneadingSeq(Record):
             head += tail * ((n - len(head)) // len(tail) + 1)
         return head[:n]
 
-    def prefix(self, n: int) -> list[str]:
-        return list(self.text(n))
-
     def __lt__(self, other: "KneadingSeq") -> bool:
         return compare(self, other) < 0
 
@@ -268,12 +265,10 @@ def is_maximal(a: KneadingSeq) -> bool:
 # -- star product ----------------------------------------------------------
 
 
-def star_product(word: Sequence[str] | str, b: KneadingSeq) -> KneadingSeq:
+def star_product(word: str, b: KneadingSeq) -> KneadingSeq:
     """A*B interleaving: copies of ``word`` separated by B's symbols,
     flipped when the word has odd R parity."""
-    if isinstance(word, str):
-        word = parse_word(word)
-    word = _check_word(word, "star factor")
+    word = parse_word(word)
     if not word:
         raise ValueError("star factor must be nonempty")
     even = word_parity_even(word)
@@ -426,19 +421,24 @@ def _try_factor(m: KneadingSeq, a: int) -> bool:
     return all(text.startswith(text[:a], k * (a + 1)) for k in range(1, blocks))
 
 
-def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
+_HORIZON = 256
+
+
+def in_class_M(m: KneadingSeq) -> str:
     """Membership test for the admissible kneading class.
 
     Checks maximality, strict domination of the period-doubling limit
-    (against its length-``horizon`` prefix), and the absence of a star
-    factorization whose leading word is not a star power of R.  Returns
-    ``"unknown"`` when only the horizon prevented a verdict.
+    (against its 256-symbol prefix, the search horizon), and the absence
+    of a star factorization whose leading word is not a star power of R,
+    with leading words of at most 256 symbols.  Returns ``"unknown"`` when
+    only the horizon prevented a verdict; a mixed periodic tail such as
+    RLLR(RL) leaves the search open at any horizon.
     """
     if not is_maximal(m):
         return NO
 
-    limit = "".join(doubling_limit_prefix(horizon))
-    cond2 = _parity_order(m.text(horizon), limit)
+    limit = "".join(doubling_limit_prefix(_HORIZON))
+    cond2 = _parity_order(m.text(_HORIZON), limit)
     if cond2 == LESS:
         return NO
 
@@ -446,24 +446,24 @@ def in_class_M(m: KneadingSeq, horizon: int = 256) -> str:
     # leading-word length is covered
     if m.is_finite:
         a_cap = m.finite_length // 2 - 1 if m.finite_length >= 4 else 0
-        complete = horizon >= a_cap
+        complete = _HORIZON >= a_cap
     elif all(s == R for s in m.period):
         # R^inf tail: every block eventually sits inside the tail, so the
         # leading word is all R and cannot reach past the first L
         a_cap = m.text(len(m.pre)).find(L)
-        complete = horizon >= a_cap
+        complete = _HORIZON >= a_cap
     elif all(s == L for s in m.period):
         # L^inf tail: blocks eventually sit inside the tail, forcing an
         # all-L leading word, yet the word starts with the sequence head;
         # a maximal sequence starts with R, so no factorization exists
         complete = m.text(1) == R
-        a_cap = 0 if complete else horizon
+        a_cap = 0 if complete else _HORIZON
     else:
-        a_cap = horizon
+        a_cap = _HORIZON
         complete = False
 
     # a star power of R is the doubling-limit prefix of length 2**j - 1
-    for a in range(1, min(a_cap, horizon) + 1):
+    for a in range(1, min(a_cap, _HORIZON) + 1):
         if _try_factor(m, a) and not (a & (a + 1) == 0 and limit[:a] == m.text(a)):
             return NO
 

@@ -176,13 +176,16 @@ class LapOverflowError(RuntimeError):
     """Lap propagation exceeded the piece cap."""
 
 
-def lap_counts(p: TentParams, n: int, cap: int = 4_000_000) -> list[int]:
+_LAP_CAP = 4_000_000
+
+
+def lap_counts(p: TentParams, n: int) -> list[int]:
     """Lap numbers of T, T^2, ..., T^n (count of monotone pieces).
 
     Pieces are tracked by their endpoint values only; a piece splits when
     its value interval straddles alpha.  A piece's future depends on its
     endpoints alone, so pieces are merged by endpoint pair and carry a
-    multiplicity; ``cap`` bounds the lap count, not the pieces stored.
+    multiplicity; ``_LAP_CAP`` bounds the lap count, not the pieces stored.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -201,8 +204,8 @@ def lap_counts(p: TentParams, n: int, cap: int = 4_000_000) -> list[int]:
         pieces = nxt
         total = sum(pieces.values())
         counts.append(total)
-        if total > cap:
-            raise LapOverflowError(f"lap count {total} exceeds cap {cap}")
+        if total > _LAP_CAP:
+            raise LapOverflowError(f"lap count {total} exceeds cap {_LAP_CAP}")
     return counts
 
 

@@ -32,15 +32,17 @@ moments.  The counterexample scan skips the grid nodes within that reach;
 ``sign_change_roots`` is its grid pass over ``_bisect_sign_changes``.
 Every grid of the library is ``_nodes``, which ends at its own ends.
 
-The input types pick one of two kernels, once per row or point.  Rational
-inputs (every alpha and beta an int or a Fraction) run the integer kernel
-in ``theta_exact``, imported only then: x and y are written over one
+The input types pick one of two kernels for a one-point evaluation.
+Rational inputs (alpha and beta each an int or a Fraction) run the integer
+kernel in ``theta_exact``, imported only then: x and y are written over one
 denominator, the fold runs on integer numerators over a running
 denominator, and one Fraction is formed per result, exact.  Any float input
 runs the generic fold here, which is arithmetic-generic and keeps its float
 operation order.  Both give the same guards, refusal texts and
 ``terms_used``, and one ``_roundoff_bound`` makes both ``error_bound``s.
-A one-point evaluation refuses beta = 0, where the series is undefined.
+Rows, rational ones too, always take the generic fold, which gives the
+integer kernel's values on Fractions.  A one-point evaluation refuses
+beta = 0, where the series is undefined.
 
 The generic fold's 1 is the float 1.0 on a row whose beta and every alpha
 are floats, so each step is float with float, the interpreter's float fast
@@ -257,17 +259,12 @@ def _rational(v) -> bool:
 def theta_row(spec: ThetaSpec, alphas, beta) -> list:
     """The value at each alpha of a row at one beta, at tol 1e-12, as
     ``_generic_row`` gives it, NaN at a refused point and at beta = 0, where
-    the series is undefined.  Rational inputs run the integer kernel."""
+    the series is undefined.  Every row takes the generic fold: a Fraction
+    row gives the integer kernel's values, exactly."""
     if not beta:
         return [math.nan for _ in alphas]
-    alphas = tuple(alphas)
-    if _rational(beta) and all(map(_rational, alphas)):
-        from .theta_exact import point
-        row = [point(spec, alpha, beta, 1e-12, 0) for alpha in alphas]
-    else:
-        row = _generic_row(spec, alphas, beta, 1e-12, 0, True)
     values = []  # a loop, not a comprehension: cheaper on the one-point rows of curves
-    for p in row:
+    for p in _generic_row(spec, alphas, beta, 1e-12, 0, True):
         values.append(math.nan if type(p[0]) is str else p[0])
     return values
 
@@ -276,6 +273,14 @@ def theta_row(spec: ThetaSpec, alphas, beta) -> list:
 # (1 + 2^-53)^(2 (H + P) + 1) for H head and P period gaps, and the few
 # roundings of the majorant itself; ample below 10^12 gaps.
 _MAJORANT_MARGIN = 1.001
+
+
+def _majorant(top: float, weight: float, heads: int) -> float:
+    """The error bound q + weight q top^H with q = top / (1 - top), scaled
+    by the margin, for the greatest |u| ``top`` < 1, the tail's weight and
+    H = ``heads`` head gaps; the roundoff sum over these is at most this."""
+    q = top / (1.0 - top)
+    return 8e-16 * ((q + weight * q * top ** heads) * _MAJORANT_MARGIN + 1.0)
 
 
 def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
@@ -345,8 +350,7 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         weight = 3.0 * abs(float(c))
         bound = None
         if value_only and (top := max(mags)) < 1.0:
-            q = top / (1.0 - top)
-            bound = 8e-16 * ((q + weight * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
+            bound = _majorant(top, weight, len(head_rev))
         if bound is None or bound > tol:  # no majorant, or it does not admit: the sum decides
             bound = _roundoff_bound(spec, mags, weight)
         row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (one - beta + acc, bound, terms))
@@ -390,8 +394,7 @@ def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> flo
     mags = [ax * y ** gap for gap in distinct]
     top = max(mags)  # at most eta, and |rho| at most eta^r: the point is admitted
     arho = ax ** r * y ** s
-    q = top / (1.0 - top)
-    bound = 8e-16 * ((q + 3.0 / (1.0 - arho) * q * top ** len(head_rev)) * _MAJORANT_MARGIN + 1.0)
+    bound = _majorant(top, 3.0 / (1.0 - arho), len(head_rev))
     lead = abs(value) - 3.0 * bound
     if bound > 1e-12 or lead <= 0.0:
         return 0.0

@@ -1,13 +1,13 @@
 """The Theta series at rational points, folded on integers.
 
-``theta`` sends a point here, from ``theta_row`` or a one-point
-evaluation, when alpha and beta are both rational (int or Fraction), so
-float callers never import this module.  With alpha = p/q and beta = b/q,
-x = xn/den and y = yn/den share one denominator den > 0.  The fold runs
-``theta``'s own Horner steps on integer numerators over a running
-denominator, and one Fraction is formed per result.  The guards compare
-exactly and the roundoff sum takes the generic fold's floats, so a refusal,
-the ``error_bound`` and ``terms_used`` are the generic fold's.
+``theta`` sends a one-point evaluation here when alpha and beta are both
+rational (int or Fraction), so float callers never import this module;
+rows, rational ones too, take ``theta``'s generic fold.  With alpha = p/q
+and beta = b/q, x = xn/den and y = yn/den share one denominator den > 0.
+The fold runs ``theta``'s own Horner steps on integer numerators over a
+running denominator, and one Fraction is formed per result.  The guards
+compare exactly and the roundoff sum takes the generic fold's floats, so a
+refusal, the ``error_bound`` and ``terms_used`` are the generic fold's.
 """
 
 from __future__ import annotations

@@ -96,15 +96,15 @@ SIGNATURES = {
     "doubling_limit_prefix": "(n: 'int') -> 'list[str]'",
     "format_seq": "(seq: 'KneadingSeq') -> 'str'",
     "gap_decomposition": "(m: 'KneadingSeq') -> 'GapSeq'",
-    "in_class_M": "(m: 'KneadingSeq', horizon: 'int' = 256) -> 'str'",
+    "in_class_M": "(m: 'KneadingSeq') -> 'str'",
     "is_maximal": "(a: 'KneadingSeq') -> 'bool'",
     "minus_variant": "(m: 'KneadingSeq') -> 'KneadingSeq'",
     "parse_seq": "(text: 'str') -> 'KneadingSeq'",
     "parse_word": "(text: 'str') -> 'tuple[str, ...]'",
-    "star_product": "(word: 'Sequence[str] | str', b: 'KneadingSeq') -> 'KneadingSeq'",
+    "star_product": "(word: 'str', b: 'KneadingSeq') -> 'KneadingSeq'",
     "entropy_lap": "(p: 'TentParams', n: 'int' = 16) -> 'float'",
     "kneading_prefix": "(p: 'TentParams', n: 'int', eps_c=0) -> 'list[str]'",
-    "lap_counts": "(p: 'TentParams', n: 'int', cap: 'int' = 4000000) -> 'list[int]'",
+    "lap_counts": "(p: 'TentParams', n: 'int') -> 'list[int]'",
     "orbit": "(p: 'TentParams', x, n: 'int') -> 'list'",
     "tent_eval": "(p: 'TentParams', x)",
     "diagonal_stationary_beta": "(spec: 'ThetaSpec') -> 'float'",
@@ -115,7 +115,7 @@ SIGNATURES = {
     "theta_partial_sum": "(spec: 'ThetaSpec', alpha, beta, k: 'int')",
     "thex_spec": "() -> 'ThetaSpec'",
     "exceptional_spec": "() -> 'ThetaSpec'",
-    "compose_branch_condition": "(word: 'str | Sequence[str]') -> 'BivarPoly'",
+    "compose_branch_condition": "(word: 'str') -> 'BivarPoly'",
     "diagonal_critical_points": "(p: 'BivarPoly') -> 'list'",
     "isolate_real_roots": "(coeffs: 'Sequence[Fraction]', lo, hi)",
     "slope_at_diagonal": "(p: 'BivarPoly', beta0)",

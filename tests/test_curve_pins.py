@@ -11,6 +11,7 @@ its refusal) over a corpus of words, presets and seeded gap specs.
 import hashlib
 import random
 
+from skewtent import tentmap
 from skewtent import (
     LapOverflowError,
     TentParams,
@@ -28,7 +29,7 @@ from skewtent import (
 
 ALPHAS = [0.05 + 0.9 * i / 79 for i in range(80)]
 LAP_DEPTHS = (1, 2, 8, 16, 20)
-LAP_CAP = 20_000
+LAP_CAP = 20_000  # set as tentmap._LAP_CAP for the pinned lap counts
 
 
 def _digest(lines):
@@ -91,7 +92,7 @@ def _lap_lines():
     for p in _lap_points():
         for depth in LAP_DEPTHS:
             try:
-                got = repr(lap_counts(p, depth, cap=LAP_CAP))
+                got = repr(lap_counts(p, depth))
             except LapOverflowError as exc:
                 got = f"LapOverflowError: {exc}"
             lines.append(f"{p.alpha!r} {p.beta!r} {depth} {got}")
@@ -143,7 +144,8 @@ def test_stationary_points_pinned():
     assert _digest(lines) == STATIONARY_DIGEST
 
 
-def test_lap_counts_pinned():
+def test_lap_counts_pinned(monkeypatch):
+    monkeypatch.setattr(tentmap, "_LAP_CAP", LAP_CAP)
     lines = _lap_lines()
     assert sum("LapOverflowError" in line for line in lines) == LAP_OVERFLOWS
     assert _digest(lines) == LAP_DIGEST

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewtent import symbolic
 from skewtent import (
     KneadingSeq,
     compare,
@@ -58,12 +59,16 @@ def _seq_corpus(seed: int = 2024, n_maximal: int = 100, n_star: int = 200):
 
 
 def _symbolic_lines():
+    corpus = _seq_corpus()
+    with pytest.MonkeyPatch.context() as mp:  # the verdicts at horizon 32
+        mp.setattr(symbolic, "_HORIZON", 32)
+        short = [in_class_M(m) for m, _, _ in corpus]
     lines = []
-    for m, other, n in _seq_corpus():
-        head = m.prefix(n)
+    for (m, other, n), verdict32 in zip(corpus, short):
+        head = m.text(n)
         lines.append(" ".join([
             format_seq(m), format_seq(other), str(n),
-            in_class_M(m, 256), in_class_M(m, 32), str(is_maximal(m)), str(is_maximal(other)),
+            in_class_M(m), verdict32, str(is_maximal(m)), str(is_maximal(other)),
             str(compare(m, other)), str(compare(other, m)),
             str(compare_prefix(head, other)), str(compare_prefix(head, m)),
         ]))

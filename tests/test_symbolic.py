@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewtent import symbolic
 from skewtent import (
     EQUAL,
     GREATER,
@@ -155,7 +156,7 @@ def _length(a: KneadingSeq) -> int:
 def test_text_matches_expansion(a, data):
     n = data.draw(st.integers(0, 3 * _length(a)))
     assert a.text(n) == "".join(expand(a, n))
-    assert a.prefix(n) == expand(a, n)
+    assert list(a.text(n)) == expand(a, n)
 
 
 @given(seqs, seqs, st.integers(0, 30))
@@ -324,7 +325,7 @@ def test_gap_roundtrip_on_minus_variants(a):
     assert g.to_kneading() == mv
     assert gap_decomposition(g.to_kneading()) == g
     # symbols agree with direct expansion
-    assert g.to_kneading().prefix(50) == expand(mv, 50)
+    assert list(g.to_kneading().text(50)) == expand(mv, 50)
 
 
 def test_gaps_bounded_by_first_for_maximal():
@@ -352,13 +353,14 @@ def test_class_membership_examples():
     assert in_class_M(parse_seq("(RLLRL)")) == "no"
 
 
-def test_class_membership_horizon_unknown():
+def test_class_membership_horizon_unknown(monkeypatch):
     # maximal, decisively above the doubling limit, factor-free as far as
     # the search reaches: only the unbounded factor search stays open for a
     # mixed periodic tail, so the verdict must stay unknown
     m = parse_seq("RLLR(RL)")
     assert is_maximal(m)
-    assert in_class_M(m, horizon=64) == "unknown"
+    assert in_class_M(m) == "unknown"
     # R^inf agrees with a one-symbol doubling limit; the first-L scan of
     # the R^inf branch must still end
-    assert in_class_M(parse_seq("(R)"), horizon=1) == "unknown"
+    monkeypatch.setattr(symbolic, "_HORIZON", 1)
+    assert in_class_M(parse_seq("(R)")) == "unknown"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewtent import tentmap
 from skewtent import (
     LapOverflowError,
     TentParams,
@@ -188,14 +189,15 @@ def test_lap_counts_match_piece_list_oracle(b, t, n):
     assert lap_counts(p, n) == _oracle_lap_counts(p, n)
 
 
-def test_lap_overflow_at_the_oracle_depth():
+def test_lap_overflow_at_the_oracle_depth(monkeypatch):
     p = TentParams(0.5, 1.0)  # 2^k laps at depth k: 1024 > 1000 at depth 10
+    monkeypatch.setattr(tentmap, "_LAP_CAP", 1000)
     with pytest.raises(LapOverflowError) as oracle:
         _oracle_lap_counts(p, 12, cap=1000)
     with pytest.raises(LapOverflowError) as merged:
-        lap_counts(p, 12, cap=1000)
+        lap_counts(p, 12)
     assert str(merged.value) == str(oracle.value) == "lap count 1024 exceeds cap 1000"
-    assert lap_counts(p, 9, cap=1000)[-1] == 512
+    assert lap_counts(p, 9)[-1] == 512
 
 
 def test_entropy_constant_slope_oracle():

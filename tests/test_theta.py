@@ -359,11 +359,13 @@ def _assert_row_values(got, points):
 @settings(max_examples=300, deadline=None)
 def test_integer_kernel_matches_generic_fold(spec, point, tol):
     # values and moments equal exactly, error_bound and terms_used bit for
-    # bit, and a refused point refused with the same text; theta_row on
-    # rational inputs is the kernel's value at tol 1e-12, NaN where refused
+    # bit, and a refused point refused with the same text; theta_row, the
+    # generic fold, on Fraction inputs is the kernel's value at tol 1e-12,
+    # NaN where refused
     a, b = point
     if tol == 1e-12:
-        _assert_row_values(theta_row(spec, [a], b), [theta_exact.point(spec, a, b, tol, 0)])
+        _assert_row_values(theta_row(spec, [Fraction(a)], Fraction(b)),
+                           [theta_exact.point(spec, a, b, tol, 0)])
     for order in (0, 1, 2):
         got = _exact_point(spec, a, b, tol, order)
         (ref,) = _generic_row(spec, [Fraction(a)], Fraction(b), tol, order)
