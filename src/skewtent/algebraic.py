@@ -287,11 +287,11 @@ def slope_at_diagonal(p: BivarPoly, beta0):
     resid = qa + 2 * qb + qc
     if exact:
         if resid != 0:
-            raise AssertionError("diagonal direction not a root of the quadratic")
+            raise ValueError("diagonal direction not a root of the quadratic")
         one = Fraction(1)
     else:
         if abs(resid) > 1e-10 * max(abs(qa), abs(qc), 1.0):
-            raise AssertionError("diagonal direction not a root of the quadratic")
+            raise ValueError("diagonal direction not a root of the quadratic")
         one = 1.0
     other = qa / qc
     quad = Quadratic2D(qa, qb, qc)

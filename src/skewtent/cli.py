@@ -56,7 +56,7 @@ def cmd_knead(args) -> None:
     if not 0 <= args.eps_c < 1:
         raise ValueError(f"--eps-c must lie in [0, 1), got {args.eps_c}")
     p = TentParams(args.alpha, args.beta)
-    print("".join(kneading_prefix(p, args.depth, eps_c=args.eps_c)))
+    print(kneading_prefix(p, args.depth, eps_c=args.eps_c))
 
 
 def cmd_theta(args) -> None:

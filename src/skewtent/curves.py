@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, cycle, islice
 from pathlib import Path
 
-from .symbolic import EQUAL, GREATER, KneadingSeq, LESS, RL_INFINITY, Record, _set
+from .symbolic import EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record, _set
 from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
 from .theta import ThetaSpec, _bisect_sign_changes, _nodes, _sign_reach, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
@@ -72,6 +73,15 @@ def _side(alpha: float, beta: float, m: KneadingSeq) -> int:
     deciding symbol and at most the label depth."""
     TentParams(alpha, beta)  # raises outside the parameter square
     return kneading_order_at(alpha, beta, m.text(_LABEL_DEPTH))
+
+
+def _label_text(spec: ThetaSpec) -> str:
+    """The first ``_LABEL_DEPTH`` symbols of the spec's reference sequence
+    (``ThetaSpec.to_kneading``), made without spelling out a longer L-run."""
+    if spec.source is not None:
+        return spec.source.text(_LABEL_DEPTH)
+    gaps = islice(chain(spec.gaps.head, cycle(spec.gaps.period)), _LABEL_DEPTH)
+    return "".join(R + L * min(g, _LABEL_DEPTH) for g in gaps)[:_LABEL_DEPTH]
 
 
 def _spec(m: KneadingSeq) -> ThetaSpec | None:
@@ -204,7 +214,7 @@ def counterexample_scan(
                          f"got alpha0={alpha0} and beta range [{beta_lo}, {beta_hi}]")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    target = spec.to_kneading()
+    target = _label_text(spec)
     ts = _nodes(beta_lo, beta_hi, samples)
     step = (beta_hi - beta_lo) / samples
     vals: list[float] = []
@@ -225,8 +235,9 @@ def counterexample_scan(
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 
+    # the checks above put each (alpha0, r) in the square that _side checks
     labels = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
-    return [ScanRoot(r, labels[_side(alpha0, r, target)]) for r in roots]
+    return [ScanRoot(r, labels[kneading_order_at(alpha0, r, target)]) for r in roots]
 
 
 # -- rasters ---------------------------------------------------------------
@@ -327,7 +338,7 @@ def raster(field, window, width: int, height: int) -> RasterGrid:
                 if not lo < a < b:
                     values.append(-1.0)
                     continue
-                key = "".join(kneading_prefix_at(a, b, field.depth))
+                key = kneading_prefix_at(a, b, field.depth)
                 values.append(float(class_ids.setdefault(key, len(class_ids))))
     else:
         raise TypeError(f"unknown raster field {field!r}")

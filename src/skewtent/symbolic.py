@@ -4,18 +4,18 @@ maximality, the star product, lower-limit variants and gap decompositions.
 Sequences are represented canonically so that structural equality equals
 semantic equality.  Finite admissible sequences are a word of L/R symbols
 followed by a terminal C; infinite ones are eventually periodic and stored
-as preperiod plus primitive period.  Plain words (no C) are passed around
-as strings or tuples of single-character symbols.  Every scan (order,
-maximality, class membership) reads a sequence through ``text(n)``, its
-first n symbols as a string, expanded in that one place from the
-preperiod and period joined once per instance.
+as preperiod plus primitive period.  Every symbol word is a string: a
+preperiod, a period, a plain word (no C) and an orbit prefix alike.  Every
+scan (order, maximality, class membership) reads a sequence through
+``text(n)``, its first n symbols, expanded in that one place from the
+preperiod and period.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 L = "L"
 C = "C"
@@ -75,22 +75,27 @@ def flip(symbol: str) -> str:
     return symbol.translate(_FLIP)
 
 
-def word_parity_even(word: Sequence[str]) -> bool:
+def word_parity_even(word: str) -> bool:
     """True when the word contains an even number of R's."""
-    return sum(1 for s in word if s == R) % 2 == 0
+    return word.count(R) % 2 == 0
 
 
-def _check_word(word: Sequence[str], what: str) -> tuple[str, ...]:
-    word = tuple(word)
-    for s in word:
-        if s not in (L, R):
-            raise ValueError(f"{what} may only contain L and R, got {s!r}")
+_NOT_LR = re.compile("[^LR]")
+
+
+def _check_word(word: str | Iterable[str], what: str) -> str:
+    """The word as a string of L and R: a string passes as it is, any other
+    sequence of symbols is joined once."""
+    if not isinstance(word, str):
+        word = "".join(word)
+    if bad := _NOT_LR.search(word):
+        raise ValueError(f"{what} may only contain L and R, got {bad.group()!r}")
     return word
 
 
-def _canonical(pre: tuple, period: tuple) -> tuple[tuple, tuple]:
+def _canonical(pre, period):
     """Primitive period and shortest preperiod of pre followed by period
-    repeated forever."""
+    repeated forever, for symbol strings and gap tuples alike."""
     n = len(period)
     for d in range(1, n):
         if n % d == 0 and period == period[: d] * (n // d):
@@ -111,10 +116,10 @@ class KneadingSeq(Record):
     so ``==`` is semantic equality.
     """
 
-    __slots__ = ("pre", "period", "_head", "_tail")
+    __slots__ = ("pre", "period", "_head")
     _fields = ("pre", "period")
 
-    def __init__(self, pre: Sequence[str], period: Sequence[str] | None = None) -> None:
+    def __init__(self, pre: str, period: str | None = None) -> None:
         pre = _check_word(pre, "preperiod")
         if period is not None:
             period = _check_word(period, "period")
@@ -123,9 +128,7 @@ class KneadingSeq(Record):
             pre, period = _canonical(pre, period)
         _set(self, "pre", pre)
         _set(self, "period", period)
-        # joined once for text(n)
-        _set(self, "_head", "".join(pre) + (C if period is None else ""))
-        _set(self, "_tail", "".join(period or ()))
+        _set(self, "_head", pre + C if period is None else pre)  # text(n)'s head
 
     # -- basic structure -------------------------------------------------
 
@@ -142,7 +145,7 @@ class KneadingSeq(Record):
 
     def text(self, n: int) -> str:
         """The first n symbols as a string, shorter when the C comes first."""
-        head, tail = self._head, self._tail
+        head, tail = self._head, self.period
         if tail and n > len(head):
             head += tail * ((n - len(head)) // len(tail) + 1)
         return head[:n]
@@ -157,7 +160,7 @@ class KneadingSeq(Record):
         return format_seq(self)
 
 
-RL_INFINITY = KneadingSeq((R,), (L,))
+RL_INFINITY = KneadingSeq(R, L)
 
 _SEQ_RE = re.compile(r"^([LR]*)(?:(C)|\(([LR]+)\))?$")
 
@@ -170,24 +173,21 @@ def parse_seq(text: str) -> KneadingSeq:
     m = _SEQ_RE.match(text.strip())
     if not m or not text.strip():
         raise ValueError(f"cannot parse sequence {text!r}")
-    pre, period = m.group(1), m.group(3)
-    if period is not None:
-        return KneadingSeq(tuple(pre), tuple(period))
-    return KneadingSeq(tuple(pre), None)
+    return KneadingSeq(m.group(1), m.group(3))
 
 
 def format_seq(seq: KneadingSeq) -> str:
     if seq.is_finite:
-        return "".join(seq.pre) + C
-    return "".join(seq.pre) + "(" + "".join(seq.period) + ")"
+        return seq.pre + C
+    return seq.pre + "(" + seq.period + ")"
 
 
-def parse_word(text: str) -> tuple[str, ...]:
+def parse_word(text: str) -> str:
     """A plain L/R word, optionally with one trailing C that is dropped."""
     text = text.strip()
     if text.endswith(C):
         text = text[:-1]
-    return _check_word(tuple(text), "word")
+    return _check_word(text, "word")
 
 
 # -- ordering ------------------------------------------------------------
@@ -234,14 +234,13 @@ def compare(a: KneadingSeq, b: KneadingSeq) -> int:
     return _parity_order(a.text(bound), b.text(bound))
 
 
-def compare_prefix(symbols: Sequence[str], target: KneadingSeq) -> int:
-    """Compare a truncated symbol list against a sequence.
+def compare_prefix(symbols: str, target: KneadingSeq) -> int:
+    """Compare a truncated symbol string against a sequence.
 
     Returns EQUAL when the two agree through the available length, which a
     caller must interpret as equal-within-depth.
     """
-    syms = "".join(symbols)
-    return _parity_order(syms, target.text(len(syms)))
+    return _parity_order(symbols, target.text(len(symbols)))
 
 
 # -- maximality ------------------------------------------------------------
@@ -273,21 +272,21 @@ def star_product(word: str, b: KneadingSeq) -> KneadingSeq:
         raise ValueError("star factor must be nonempty")
     even = word_parity_even(word)
 
-    def blocks(syms: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(x for s in syms for x in word + (s if even else flip(s),))
+    def blocks(syms: str) -> str:
+        return "".join(word + s for s in (syms if even else flip(syms)))
 
     if b.is_finite:
         return KneadingSeq(blocks(b.pre) + word, None)  # final copy before the C
     return KneadingSeq(blocks(b.pre), blocks(b.period))
 
 
-def doubling_limit_prefix(n: int) -> list[str]:
+def doubling_limit_prefix(n: int) -> str:
     """First n symbols of the period-doubling limit sequence (the fixed
     point of prefixing with R via the star product)."""
     syms = R
     while len(syms) < n:
         syms = R + R.join(syms.translate(_FLIP))
-    return list(syms[:n])
+    return syms[:n]
 
 
 # -- minus variant -----------------------------------------------------------
@@ -302,7 +301,7 @@ def minus_variant(m: KneadingSeq) -> KneadingSeq:
     if not m.is_finite:
         return m
     filler = L if word_parity_even(m.pre) else R
-    return KneadingSeq((), m.pre + (filler,))
+    return KneadingSeq("", m.pre + filler)
 
 
 # -- gap decomposition --------------------------------------------------------
@@ -394,7 +393,7 @@ def gap_decomposition(m: KneadingSeq) -> GapSeq:
         raise ValueError("gap decomposition needs an infinite sequence")
     if m.text(1) != R:
         raise ValueError("sequence must start with R")
-    if all(s == L for s in m.period):
+    if R not in m.period:
         raise ValueError("sequence ends in L^inf, gaps not representable")
     r_pos = [i for i, s in enumerate(m.text(len(m.pre) + 3 * len(m.period))) if s == R]
     i0 = m.pre.count(R)
@@ -437,7 +436,7 @@ def in_class_M(m: KneadingSeq) -> str:
     if not is_maximal(m):
         return NO
 
-    limit = "".join(doubling_limit_prefix(_HORIZON))
+    limit = doubling_limit_prefix(_HORIZON)
     cond2 = _parity_order(m.text(_HORIZON), limit)
     if cond2 == LESS:
         return NO
@@ -447,12 +446,12 @@ def in_class_M(m: KneadingSeq) -> str:
     if m.is_finite:
         a_cap = m.finite_length // 2 - 1 if m.finite_length >= 4 else 0
         complete = _HORIZON >= a_cap
-    elif all(s == R for s in m.period):
+    elif L not in m.period:
         # R^inf tail: every block eventually sits inside the tail, so the
         # leading word is all R and cannot reach past the first L
-        a_cap = m.text(len(m.pre)).find(L)
+        a_cap = m.pre.find(L)
         complete = _HORIZON >= a_cap
-    elif all(s == L for s in m.period):
+    elif R not in m.period:
         # L^inf tail: blocks eventually sit inside the tail, forcing an
         # all-L leading word, yet the word starts with the sequence head;
         # a maximal sequence starts with R, so no factorization exists

@@ -30,8 +30,8 @@ class TentParams(Record):
     """Turning point (alpha, beta) of the skew tent map.
 
     The dynamically nontrivial region U requires 0.5 < beta <= 1 and
-    1 - beta < alpha < beta; constructing points outside U is allowed for
-    the extended evaluations near the diagonal.
+    1 - beta < alpha < beta; any point of (0, 1) x (0, 1] may be
+    constructed, and ``in_u`` tells whether it lies in U.
     """
 
     __slots__ = _fields = ("alpha", "beta")
@@ -68,12 +68,12 @@ def orbit(p: TentParams, x, n: int) -> list:
     return out
 
 
-def kneading_prefix(p: TentParams, n: int, eps_c=0) -> list[str]:
+def kneading_prefix(p: TentParams, n: int, eps_c=0) -> str:
     """Itinerary of the critical value beta, cut after the first C."""
     return kneading_prefix_at(p.alpha, p.beta, n, eps_c)
 
 
-def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
+def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> str:
     """``kneading_prefix`` at the turning point (alpha, beta).  Beta is not
     checked: the guard refuses an orbit that leaves [0, 1].  Alpha is
     checked after the slopes are made, so alpha = 0 or 1 raises
@@ -84,7 +84,7 @@ def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
     There C needs ``eps_c`` >= 0; otherwise, as for a NaN x, the symbol is
     R and x moves by the left slope.
     """
-    syms: list[str] = []
+    syms = ""
     x = beta
     lam, mu = x / alpha, x / (1 - alpha)  # the slopes of tent_eval, inlined below
     if not 0 < alpha < 1:
@@ -96,24 +96,23 @@ def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> list[str]:
                 break
             if x < zero:
                 raise ValueError(f"x={x} outside [0,1]")
-            syms.append(L)
+            syms += L
             x = lam * x
         elif x > alpha:
             if eps_c and x - alpha <= eps_c:
                 break
             if x > one:
                 raise ValueError(f"x={x} outside [0,1]")
-            syms.append(R)
+            syms += R
             x = mu * (one - x)
         elif x == alpha and eps_c >= 0:
             break
         else:
-            syms.append(R)
+            syms += R
             x = lam * x
     else:
         return syms
-    syms.append(C)  # the orbit met the C band
-    return syms
+    return syms + C  # the orbit met the C band
 
 
 def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:

@@ -30,7 +30,9 @@ how far above it the value keeps its sign, from a bound on the error of
 every point above and a bound on |dTheta/dbeta| from the magnitude
 moments.  The counterexample scan skips the grid nodes within that reach;
 ``sign_change_roots`` is its grid pass over ``_bisect_sign_changes``.
-Every grid of the library is ``_nodes``, which ends at its own ends.
+Every grid of ``theta`` and ``curves`` is ``_nodes``, which ends at its own
+ends; ``algebraic.isolate_real_roots`` keeps its own grid, shifted in from
+the interval's ends.
 
 The input types pick one of two kernels for a one-point evaluation.
 Rational inputs (alpha and beta each an int or a Fraction) run the integer
@@ -98,28 +100,18 @@ class ThetaSpec(Record):
         return cls(GapSeq.from_text(text))
 
     @classmethod
-    def from_kneading_prefix(cls, symbols) -> "ThetaSpec":
-        """Truncation of an orbit itinerary: complete L-runs become gaps,
-        the unfinished trailing run is dropped and the tail is taken as
-        R^inf.  The spec is exact data for that truncated sequence only:
-        the ``error_bound`` of ``theta_eval`` covers roundoff in summing it,
-        not the truncation, which can be far larger."""
-        syms = list(symbols)
-        if not syms or syms[0] != R:
+    def from_kneading_prefix(cls, symbols: str) -> "ThetaSpec":
+        """Truncation of an orbit itinerary: complete L-runs, up to a C,
+        become gaps, the unfinished trailing run is dropped and the tail is
+        taken as R^inf.  The spec is exact data for that truncated sequence
+        only: the ``error_bound`` of ``theta_eval`` covers roundoff in
+        summing it, not the truncation, which can be far larger."""
+        if not symbols.startswith(R):
             raise ValueError("kneading prefix must start with R")
-        gaps: list[int] = []
-        run = 0
-        for s in syms[1:]:
-            if s == R:
-                gaps.append(run)
-                run = 0
-            elif s == C:
-                break
-            else:
-                run += 1
-        if not gaps:
+        runs = symbols[1:].split(C, 1)[0].split(R)[:-1]  # the last run is unfinished
+        if not runs:
             raise ValueError("prefix too short, no complete gap")
-        return cls(GapSeq(tuple(gaps), (0,)))
+        return cls(GapSeq([len(run) for run in runs], (0,)))
 
     @property
     def m1(self) -> int:
@@ -136,10 +128,6 @@ class ThetaSpec(Record):
         return self.gaps.to_kneading()
 
 
-# given without a defining property in the source material; demo preset only
-EXCEPTIONAL_DIAGONAL_BETA = 0.99179142171225
-
-
 def thex_spec() -> ThetaSpec:
     """Gap data of the bundled counterexample sequence: first gap 6, then
     alternating 5 and 0 for twenty-three pairs, R^inf tail."""
@@ -149,15 +137,11 @@ def thex_spec() -> ThetaSpec:
     return ThetaSpec.from_text("gaps=" + ",".join(map(str, gaps)) + ";tail=R")
 
 
-_EXCEPTIONAL_DEPTH = 48
-
-
 def exceptional_spec() -> ThetaSpec:
-    """Demo spec built from the first 48 kneading symbols at the exceptional
-    diagonal parameter; useful for level-set rasters around that point."""
-    from .tentmap import TentParams, kneading_prefix  # only this preset needs an orbit
-    p = TentParams(0.5, EXCEPTIONAL_DIAGONAL_BETA)
-    return ThetaSpec.from_kneading_prefix(kneading_prefix(p, _EXCEPTIONAL_DEPTH))
+    """Demo spec for rasters around (1/2, 0.99179142171225), a point given
+    without a defining property in the source material: the complete gaps
+    of its first 48 kneading symbols, which are thex's first ten."""
+    return ThetaSpec.from_text("gaps=6,5,0,5,0,5,0,5,0,5;tail=R")
 
 
 class ThetaValue(Record):
@@ -245,6 +229,14 @@ _TAIL_REFUSAL = ("periodic tail ratio has modulus >= 1",)
 _BOUND_REFUSAL = "roundoff bound {:.2e} exceeds requested tol {:.2e}"
 
 
+def _ratio(eta) -> float:
+    """A refused series ratio as a float, inf past float range."""
+    try:
+        return float(eta)
+    except OverflowError:
+        return math.inf
+
+
 def _rational(v) -> bool:
     """An int or a Fraction.  ``fractions`` is looked up only for a value
     that is neither int nor float, so float callers never load it."""
@@ -319,7 +311,7 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         except OverflowError:
             eta = math.inf
         if eta >= 0.999:
-            row.append((_RATIO_REFUSAL, float(eta), float(alpha), float(beta)))
+            row.append((_RATIO_REFUSAL, _ratio(eta), float(alpha), float(beta)))
             continue
         try:
             rho = x ** r * y ** s
@@ -345,9 +337,13 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
         for i in head_rev:
             acc = us[i] * (one + acc)
         mags = []  # mags[i] = |us[i]|
-        for u in us:
-            mags.append(abs(float(u)))
-        weight = 3.0 * abs(float(c))
+        try:
+            for u in us:
+                mags.append(abs(float(u)))
+            weight = 3.0 * abs(float(c))
+        except OverflowError:  # a rational u or c past float range, refused as a float power is
+            row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
+            continue
         bound = None
         if value_only and (top := max(mags)) < 1.0:
             bound = _majorant(top, weight, len(head_rev))

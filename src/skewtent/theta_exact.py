@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .theta import (_BOUND_REFUSAL, _RATIO_REFUSAL, _STEPS, _TAIL_REFUSAL, Quadratic2D, ThetaSpec,
-                    _roundoff_bound)
+                    _ratio, _roundoff_bound)
 
 _RATIO_CUTOFF = (0.999).as_integer_ratio()  # the float 0.999, exactly
 
@@ -62,7 +62,7 @@ def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
     # dominating term ratio |x| max(1, y)^{m1}
     en, ed = (abs(xn) * yn ** m1, den ** (m1 + 1)) if yn > den else (abs(xn), den)
     if en * _RATIO_CUTOFF[1] >= _RATIO_CUTOFF[0] * ed:
-        return (_RATIO_REFUSAL, en / ed, float(alpha), float(beta))
+        return (_RATIO_REFUSAL, _ratio(Fraction(en, ed)), float(alpha), float(beta))
     w = den ** (r + s)  # rho = rn / w and 1 - rho = e / w
     rn = xn ** r * yn ** s
     if abs(rn) >= w:
@@ -74,7 +74,11 @@ def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
         pws.append(den ** (gap + 1))
     if not order:
         # int / int rounds as float(Fraction) does, so these are the generic floats
-        bound = _roundoff_bound(spec, [abs(v) / pw for v, pw in zip(vs, pws)], 3 * (w / abs(e)))
+        try:
+            mags, weight = [abs(v) / pw for v, pw in zip(vs, pws)], 3 * (w / abs(e))
+        except OverflowError:  # as in the generic fold: a |u| or |c| past float range
+            return (_RATIO_REFUSAL, math.inf, float(alpha), float(beta))
+        bound = _roundoff_bound(spec, mags, weight)
         if bound > tol:
             return (_BOUND_REFUSAL, bound, tol)
     step, zero = _STEPS[order]

@@ -92,18 +92,18 @@ def test_unknown_name_raises_attribute_error():
 # the signature of every public function: a parameter added or removed shows here
 SIGNATURES = {
     "compare": "(a: 'KneadingSeq', b: 'KneadingSeq') -> 'int'",
-    "compare_prefix": "(symbols: 'Sequence[str]', target: 'KneadingSeq') -> 'int'",
-    "doubling_limit_prefix": "(n: 'int') -> 'list[str]'",
+    "compare_prefix": "(symbols: 'str', target: 'KneadingSeq') -> 'int'",
+    "doubling_limit_prefix": "(n: 'int') -> 'str'",
     "format_seq": "(seq: 'KneadingSeq') -> 'str'",
     "gap_decomposition": "(m: 'KneadingSeq') -> 'GapSeq'",
     "in_class_M": "(m: 'KneadingSeq') -> 'str'",
     "is_maximal": "(a: 'KneadingSeq') -> 'bool'",
     "minus_variant": "(m: 'KneadingSeq') -> 'KneadingSeq'",
     "parse_seq": "(text: 'str') -> 'KneadingSeq'",
-    "parse_word": "(text: 'str') -> 'tuple[str, ...]'",
+    "parse_word": "(text: 'str') -> 'str'",
     "star_product": "(word: 'str', b: 'KneadingSeq') -> 'KneadingSeq'",
     "entropy_lap": "(p: 'TentParams', n: 'int' = 16) -> 'float'",
-    "kneading_prefix": "(p: 'TentParams', n: 'int', eps_c=0) -> 'list[str]'",
+    "kneading_prefix": "(p: 'TentParams', n: 'int', eps_c=0) -> 'str'",
     "lap_counts": "(p: 'TentParams', n: 'int') -> 'list[int]'",
     "orbit": "(p: 'TentParams', x, n: 'int') -> 'list'",
     "tent_eval": "(p: 'TentParams', x)",

@@ -257,6 +257,8 @@ def test_error_is_machine_readable():
      "series ratio inf >= 0.999 at alpha=1.0, beta=-1e-200"),
     (["theta", "--gaps", "gaps=1;tail=R", "--alpha", "1", "--beta=-5e-324"],
      "series ratio inf >= 0.999 at alpha=1.0, beta=-5e-324"),
+    # maximal, in_class_M yes; the float-grid root is 503,624 ulps off the exact one
+    (["diagonal", "--seq", "RLLRRLRRRRRRLRRLRRLRRRRRRRC"], "diagonal direction not a root of the quadratic"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)
@@ -353,7 +355,7 @@ IMPORT_CASES = [
     (None, {"symbolic", "tentmap", "theta", "algebraic", "curves"}),
     (["knead", *POINT], {"symbolic", "tentmap"}),
     (["entropy", *POINT], {"symbolic", "tentmap"}),
-    *[([cmd, *spec, *POINT], {"symbolic", "theta"} | ({"tentmap"} if "exceptional" in spec else set()))
+    *[([cmd, *spec, *POINT], {"symbolic", "theta"})
       for cmd in ("theta", "grad", "hessian") for spec in SPECS],
     (["diagonal", "--seq", "RLC"], {"symbolic", "theta", "algebraic"}),
     (["isentrope", "--seq", "RLC", "--alpha-from", "0.55", "--alpha-to", "0.65", "--steps", "2"], CURVES),

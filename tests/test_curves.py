@@ -1,7 +1,12 @@
 """Curve location, counterexample scanning and rasters."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,7 @@ from skewtent import (
 )
 from skewtent import curves
 from skewtent.curves import THEX_ALPHA0, trace_csv
+from skewtent.theta import exceptional_spec
 
 
 # ------------------------------------------------------------ bisection
@@ -217,6 +223,38 @@ def test_rlc_vertical_scan_single_equal_root():
     assert roots[0].relation == "equal"
     pt = kneading_bisect_beta(parse_seq("RLC"), 0.6)
     assert roots[0].beta == pytest.approx(pt.beta, abs=1e-9)
+
+
+def test_label_text_is_the_reference_sequence_prefix():
+    # built from the gaps with each L-run capped at the depth, or read off
+    # the source, it is the first 48 symbols of the sequence spelled out
+    for spec in [thex_spec(), exceptional_spec(), ThetaSpec.from_seq(parse_seq("RLLRC")),
+                 ThetaSpec.from_seq(parse_seq("RLL(RL)")), ThetaSpec.from_text("gaps=60,3;period=0,59"),
+                 ThetaSpec.from_text("gaps=1;period=0,1"), ThetaSpec.from_text("gaps=47;tail=R")]:
+        assert curves._label_text(spec) == spec.to_kneading().text(curves._LABEL_DEPTH)
+
+
+LARGE_GAP_SCAN = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))  # this process only
+from skewtent import ThetaSpec, counterexample_scan
+roots = counterexample_scan(ThetaSpec.from_text(sys.argv[1]), 0.6, 0.9, 1.0, samples=50)
+print(json.dumps([[r.beta, r.relation] for r in roots]))
+"""
+
+
+def test_scan_labels_read_48_symbols_of_a_large_gap():
+    # spelled out, a gap of 10^9 is a 1 GB sequence; the labels read only
+    # its first 48 symbols, so the scan runs in 512 MB of address space
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", LARGE_GAP_SCAN, "gaps=1000000000;tail=R"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # Theta is 1 - beta plus terms that underflow to 0, so its one zero is
+    # beta = 1, where K(0.6, 1) = R L^inf agrees with R L^gap through the
+    # label depth
+    assert json.loads(done.stdout) == [[1.0, "equal"]]
 
 
 def test_scan_requires_sign_change():

@@ -82,6 +82,12 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _prefix_outcome(alpha, beta, n, eps_c=0):
+    """The frozen loop's outcome, its list of symbols joined to a string."""
+    want = _outcome(_prefix_before, alpha, beta, n, eps_c)
+    return "".join(want) if isinstance(want, list) else want
+
+
 def _points(seed: int = 11):
     """(alpha, beta) pairs, alpha in (0, 1) and some next to its ends:
     beta drawn from [-0.1, 1.3] of alpha's type, and beta = 1, 1 - alpha
@@ -117,11 +123,11 @@ def test_walkers_equal_the_frozen_loops_on_seeded_corpus():
         lengths = FRACTION_LENGTHS if isinstance(a, Fraction) else range(65)
         for eps_c in EPS_CS:
             for n in lengths:
-                want = _outcome(_prefix_before, a, b, n, eps_c)
+                want = _prefix_outcome(a, b, n, eps_c)
                 assert _outcome(kneading_prefix_at, a, b, n, eps_c) == want, (a, b, n, eps_c)
             words = list(targets)
-            if isinstance(want, list):
-                words.append("".join(want))  # read to its end, or to a shared C
+            if isinstance(want, str):
+                words.append(want)  # read to its end, or to a shared C
                 if C in want:
                     seen.add(("C", eps_c))
             else:
@@ -137,16 +143,16 @@ def test_walkers_equal_the_frozen_loops_on_seeded_corpus():
 
 def test_nan_beta_and_an_orbit_on_alpha_take_the_r_path():
     # a NaN orbit reads R for ever; x == alpha reads R when eps_c < 0 or NaN
-    assert kneading_prefix_at(0.6, NAN, 5, 0) == _prefix_before(0.6, NAN, 5, 0) == [R] * 5
+    assert kneading_prefix_at(0.6, NAN, 5, 0) == "".join(_prefix_before(0.6, NAN, 5, 0)) == R * 5
     assert kneading_order_at(0.6, NAN, "RRRL") == _order_before(0.6, NAN, "RRRL") == LESS
     a, b = Fraction(1, 4), Fraction(3, 4)  # beta = 1 - alpha maps onto alpha
     for eps_c in (-1e-3, NAN):
         want = _prefix_before(a, b, 6, eps_c)
         assert want[:2] == [R, R]
-        assert kneading_prefix_at(a, b, 6, eps_c) == want
+        assert kneading_prefix_at(a, b, 6, eps_c) == "".join(want)
         for t in ("RRL", "RRRR", "RC", "RL"):
             assert kneading_order_at(a, b, t, eps_c) == _order_before(a, b, t, eps_c)
-    assert kneading_prefix_at(a, b, 6, 0) == [R, C]
+    assert kneading_prefix_at(a, b, 6, 0) == R + C
 
 
 @st.composite
@@ -165,7 +171,7 @@ def walks(draw):
 @settings(max_examples=600, deadline=None)
 def test_walkers_equal_the_frozen_loops_on_random_walks(walk, n, target):
     a, b, eps_c = walk
-    assert _outcome(kneading_prefix_at, a, b, n, eps_c) == _outcome(_prefix_before, a, b, n, eps_c)
+    assert _outcome(kneading_prefix_at, a, b, n, eps_c) == _prefix_outcome(a, b, n, eps_c)
     assert _outcome(kneading_order_at, a, b, target, eps_c) == _outcome(_order_before, a, b, target, eps_c)
 
 
@@ -203,5 +209,5 @@ def test_c_at_zero_tolerance_needs_an_exact_hit():
     # beta keeps the int constants, so 1 - x stays exact
     a, b = 1 / 3, Fraction(1, 3)
     assert _prefix_before(a, b, 3) == [C]
-    assert kneading_prefix_at(a, b, 3) == [R, L, L]
-    assert kneading_prefix_at(a, b, 3, 1e-6) == _prefix_before(a, b, 3, 1e-6) == [C]
+    assert kneading_prefix_at(a, b, 3) == R + L + L
+    assert kneading_prefix_at(a, b, 3, 1e-6) == "".join(_prefix_before(a, b, 3, 1e-6)) == C

@@ -22,10 +22,10 @@ RLC = parse_seq("RLC")
 
 # one instance of each record type, its fields in order, and its repr
 RECORDS = [
-    (KneadingSeq(("R", "L"), ("R", "L", "R", "L")), {"pre": (), "period": ("R", "L")},
-     "KneadingSeq(pre=(), period=('R', 'L'))"),
-    (KneadingSeq(("R", "L")), {"pre": ("R", "L"), "period": None},
-     "KneadingSeq(pre=('R', 'L'), period=None)"),
+    (KneadingSeq(("R", "L"), ("R", "L", "R", "L")), {"pre": "", "period": "RL"},
+     "KneadingSeq(pre='', period='RL')"),
+    (KneadingSeq(("R", "L")), {"pre": "RL", "period": None},
+     "KneadingSeq(pre='RL', period=None)"),
     (GapSeq((2, 1)), {"head": (2, 1), "period": (0,)}, "GapSeq(head=(2, 1), period=(0,))"),
     (GAPS, {"head": (2,), "period": (1, 0)}, "GapSeq(head=(2,), period=(1, 0))"),
     (TentParams(0.6, 0.8), {"alpha": 0.6, "beta": 0.8}, "TentParams(alpha=0.6, beta=0.8)"),
@@ -35,7 +35,7 @@ RECORDS = [
     (SPEC, {"gaps": GAPS, "source": None},
      "ThetaSpec(gaps=GapSeq(head=(2,), period=(1, 0)), source=None)"),
     (ThetaSpec.from_seq(RLC), {"gaps": GapSeq((), (1, 0)), "source": RLC},
-     "ThetaSpec(gaps=GapSeq(head=(), period=(1, 0)), source=KneadingSeq(pre=('R', 'L'), period=None))"),
+     "ThetaSpec(gaps=GapSeq(head=(), period=(1, 0)), source=KneadingSeq(pre='RL', period=None))"),
     (ThetaValue(0.25, 1e-16, 3), {"value": 0.25, "error_bound": 1e-16, "terms_used": 3},
      "ThetaValue(value=0.25, error_bound=1e-16, terms_used=3)"),
     (Quadratic2D(1.0, -0.5, 2.0), {"a": 1.0, "b": -0.5, "c": 2.0}, "Quadratic2D(a=1.0, b=-0.5, c=2.0)"),
@@ -120,12 +120,12 @@ def test_construction_refuses_wrong_arguments():
 
 def test_canonical_fields():
     seq = KneadingSeq(["R", "R", "L"], ["L", "L", "L", "L"])
-    assert (seq.pre, seq.period) == (("R", "R"), ("L",))
+    assert (seq.pre, seq.period) == ("RR", "L")
     assert seq == KneadingSeq(("R", "R"), ("L",))
     assert hash(seq) == hash(KneadingSeq(("R", "R"), ("L",)))
     assert seq.text(7) == "RRLLLLL"
     assert KneadingSeq(["R", "L", "R"], ["L", "R", "L", "R"]) == KneadingSeq((), ("R", "L"))
-    assert KneadingSeq(["R", "L"]).pre == ("R", "L")
+    assert KneadingSeq(["R", "L"]).pre == "RL"
     gaps = GapSeq([3, 1, 2, 2], [2, 2])
     assert (gaps.head, gaps.period) == ((3, 1), (2,))
     assert GapSeq(["2"], [1]).head == (2,)

@@ -63,13 +63,13 @@ def brute_compare(a: KneadingSeq, b: KneadingSeq, n: int = 200) -> int:
 
 def test_parse_terminal():
     s = parse_seq("RLC")
-    assert s.pre == ("R", "L") and s.is_finite
+    assert s.pre == "RL" and s.is_finite
     assert format_seq(s) == "RLC"
 
 
 def test_parse_pure_periodic():
     s = parse_seq("(RLR)")
-    assert s.pre == () and s.period == ("R", "L", "R")
+    assert s.pre == "" and s.period == "RLR"
 
 
 def test_parse_canonicalizes_preperiod():
@@ -162,14 +162,14 @@ def test_text_matches_expansion(a, data):
 @given(seqs, seqs, st.integers(0, 30))
 @settings(max_examples=300)
 def test_compare_prefix_matches_bruteforce(a, b, n):
-    assert compare_prefix(expand(a, n), b) == brute_compare(a, b, n)
+    assert compare_prefix("".join(expand(a, n)), b) == brute_compare(a, b, n)
 
 
 def test_compare_prefix_truncation():
     target = parse_seq("(RLR)")
-    assert compare_prefix(["R", "L"], target) == EQUAL  # equal within depth
-    assert compare_prefix(["R", "L", "L"], target) == GREATER  # odd prefix flips
-    assert compare_prefix(list("RLC"), target) == GREATER
+    assert compare_prefix("RL", target) == EQUAL  # equal within depth
+    assert compare_prefix("RLL", target) == GREATER  # odd prefix flips
+    assert compare_prefix("RLC", target) == GREATER
 
 
 # ---------------------------------------------------------------- maximality
@@ -237,14 +237,14 @@ def test_star_r_associativity_on_prefixes():
 
 def test_doubling_limit_prefix():
     assert "".join(doubling_limit_prefix(8)) == "RLRRRLRL"
-    assert "".join(doubling_limit_prefix(16)) == "RLRRRLRLRLRRRLRR"
+    assert doubling_limit_prefix(16) == "RLRRRLRLRLRRRLRR"
     # self similar under prefixing with R
     p = doubling_limit_prefix(64)
     flip = {"L": "R", "R": "L"}
     rebuilt = []
     for s in p[:32]:
         rebuilt += ["R", flip[s]]
-    assert rebuilt == p
+    assert "".join(rebuilt) == p
 
 
 # ---------------------------------------------------------------- minus variant

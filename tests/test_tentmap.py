@@ -53,8 +53,8 @@ def test_exact_orbit_with_fractions():
 
 
 def test_kneading_prefix_examples():
-    assert kneading_prefix(TentParams(0.5, 1.0), 5) == list("RLLLL")
-    assert kneading_prefix(TentParams(0.5, 0.6), 4) == list("RLRR")
+    assert kneading_prefix(TentParams(0.5, 1.0), 5) == "RLLLL"
+    assert kneading_prefix(TentParams(0.5, 0.6), 4) == "RLRR"
 
 
 def test_kneading_stops_at_c():
@@ -62,7 +62,7 @@ def test_kneading_stops_at_c():
     phi = (1 + math.sqrt(5)) / 2
     p = TentParams(0.5, phi / 2)
     got = kneading_prefix(p, 10, eps_c=1e-12)
-    assert got == list("RLC")
+    assert got == "RLC"
 
 
 def _reference_prefix(p, n, eps_c=0):
@@ -83,19 +83,19 @@ def _reference_prefix(p, n, eps_c=0):
 @settings(max_examples=300, deadline=None)
 def test_kneading_prefix_matches_tent_eval_orbit(b, t, eps_c, n):
     p = TentParams((1 - b) + t * (2 * b - 1), b)  # a point of U
-    assert kneading_prefix(p, n, eps_c=eps_c) == _reference_prefix(p, n, eps_c)
+    assert kneading_prefix(p, n, eps_c=eps_c) == "".join(_reference_prefix(p, n, eps_c))
 
 
 def test_kneading_prefix_matches_reference_off_u_and_exact():
     rng = random.Random(11)
     for _ in range(300):
         p = TentParams(rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0))
-        assert kneading_prefix(p, 40) == _reference_prefix(p, 40)
+        assert kneading_prefix(p, 40) == "".join(_reference_prefix(p, 40))
     p = TentParams(Fraction(2, 5), Fraction(4, 5))
-    assert kneading_prefix(p, 30) == _reference_prefix(p, 30)
+    assert kneading_prefix(p, 30) == "".join(_reference_prefix(p, 30))
     # an exact orbit that lands on alpha after one step: R C
     p = TentParams(Fraction(1, 3), Fraction(2, 3))
-    assert kneading_prefix(p, 10) == _reference_prefix(p, 10)
+    assert kneading_prefix(p, 10) == "".join(_reference_prefix(p, 10))
 
 
 def test_kneading_prefix_refuses_orbit_leaving_unit_interval():

@@ -578,6 +578,21 @@ def test_refusal_texts_are_pinned(argv, message):
     assert err.getvalue() == json.dumps({"error": message, "kind": "ConvergenceError"}) + "\n"
 
 
+@pytest.mark.parametrize("alpha, beta", [(Fraction(9, 10), Fraction(-3, 5)),
+                                         (Fraction(9, 10), Fraction(1, 1000))])
+def test_rational_points_past_float_range_are_refused(alpha, beta):
+    # at a gap of 2000, |x y^g| (y = -3/2) or the ratio |x| y^m1 (y = 900)
+    # passes float range: the rational point is refused as the float one
+    # is, by both kernels, and no float conversion raises OverflowError
+    spec = ThetaSpec.from_text("gaps=2000;tail=R")
+    says = f"series ratio inf >= 0.999 at alpha={float(alpha)}, beta={float(beta)}"
+    for a, b in [(alpha, beta), (float(alpha), float(beta))]:
+        with pytest.raises(ConvergenceError) as exc:
+            theta_eval(spec, a, b)
+        assert str(exc.value) == says
+        assert math.isnan(theta_row(spec, [a], b)[0])
+
+
 @pytest.mark.parametrize("spec", [RLC, THEX])
 def test_nan_tol_is_refused(spec):
     # every bound test against NaN fails, so a NaN tol used to admit every
@@ -624,7 +639,7 @@ def test_m1_matches_kneading_gap():
         a = rng.uniform(1 - b + 0.01, b - 0.01)
         m1 = m1_first_return(a, b)
         ks = kneading_prefix(TentParams(a, b), m1 + 3)
-        assert ks[: m1 + 2] == ["R"] + ["L"] * m1 + ["R"]
+        assert ks[: m1 + 2] == "R" + "L" * m1 + "R"
 
 
 def test_m1_log_ratio_bracket():
