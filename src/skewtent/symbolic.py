@@ -95,15 +95,23 @@ def _check_word(word: str | Iterable[str], what: str) -> str:
 
 def _canonical(pre, period):
     """Primitive period and shortest preperiod of pre followed by period
-    repeated forever, for symbol strings and gap tuples alike."""
+    repeated forever, for symbol strings and gap tuples alike.
+
+    The preperiod's trailing run that matches the period read backwards
+    (cyclically) moves into the period: one count, one cut, one rotation,
+    so the time is linear in that run."""
     n = len(period)
     for d in range(1, n):
         if n % d == 0 and period == period[: d] * (n // d):
             period = period[: d]
+            n = d
             break
-    while pre and pre[-1] == period[-1]:
-        pre = pre[:-1]
-        period = period[-1:] + period[:-1]
+    k = 0  # the run's length: pre[~k] meets period[~k % n], read backwards
+    while k < len(pre) and pre[~k] == period[~k % n]:
+        k += 1
+    if k:
+        r = k % n  # r = 0 leaves the period as it is
+        pre, period = pre[:-k], period[-r:] + period[:-r]
     return pre, period
 
 

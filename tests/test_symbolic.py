@@ -1,6 +1,8 @@
 """Symbol sequence calculus: parsing, ordering, maximality, star products,
 minus variants, gap decompositions and class membership."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,43 @@ def test_parse_canonicalizes_preperiod():
 
 def test_parse_primitive_period():
     assert parse_seq("(RLRL)") == parse_seq("(RL)")
+
+
+def _canonical_one_symbol_per_pass(pre, period):
+    """The reference: move the trailing run into the period one symbol per pass."""
+    n = len(period)
+    for d in range(1, n):
+        if n % d == 0 and period == period[: d] * (n // d):
+            period = period[: d]
+            break
+    while pre and pre[-1] == period[-1]:
+        pre = pre[:-1]
+        period = period[-1:] + period[:-1]
+    return pre, period
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("LR", max_size=12), st.text("LR", min_size=1, max_size=8), st.integers(1, 3))
+def test_canonical_matches_the_one_symbol_loop_on_strings(pre, period, reps):
+    # pre + period repeated gives long trailing runs that match the period
+    pre += period * reps
+    assert symbolic._canonical(pre, period) == _canonical_one_symbol_per_pass(pre, period)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=10), st.lists(st.integers(0, 3), min_size=1, max_size=6),
+       st.integers(0, 3))
+def test_canonical_matches_the_one_symbol_loop_on_gap_tuples(pre, period, reps):
+    pre, period = tuple(pre + period * reps), tuple(period)
+    assert symbolic._canonical(pre, period) == _canonical_one_symbol_per_pass(pre, period)
+
+
+def test_canonical_is_linear_in_the_trailing_run():
+    n = 10**6
+    start = time.perf_counter()
+    s = parse_seq("R" + "L" * n + "(L)")
+    assert time.perf_counter() - start < 1.0
+    assert s.pre == "R" and s.period == "L"
 
 
 def test_parse_bare_word_means_terminal():
