@@ -12,7 +12,9 @@ one fold over the period and rho = x^r y^s, so T = a / (1 - rho) and no
 truncation error is incurred.  The value fold is followed by its roundoff
 sum, which gives ``error_bound`` and refuses a point whose bound passes
 ``tol``; derivatives fold S together with its Euler moments x dS/dx,
-y dS/dy and the second-order ones and follow from them by the chain rule.
+y dS/dy and the second-order ones, in one loop per order (``_fold1``,
+``_fold2``), and follow from them by the chain rule, refused where that
+divides by 0 or leaves float range.
 
 Callers that read only the value, the residuals of ``curves`` (scan grid,
 scan bisection, trace nodes) and the pixels of its Theta rasters, call
@@ -46,10 +48,11 @@ Rows, rational ones too, always take the generic fold, which gives the
 integer kernel's values on Fractions.  A one-point evaluation refuses
 beta = 0, where the series is undefined.
 
-The generic fold's 1 is the float 1.0 on a row whose beta and every alpha
-are floats, so each step is float with float, the interpreter's float fast
-path; a rational or mixed row keeps the int 1, as Fraction - 1.0 would
-round through a float.  No bit moves: 1 + v and 1.0 + v round alike.
+The generic fold's 1 and gaps are floats on a row whose beta and every
+alpha are floats, so each step is float with float, the interpreter's float
+fast path; a rational or mixed row keeps ints, as Fraction - 1.0 would
+round through a float.  No bit moves: 1 + v and 1.0 + v round alike, and
+an int g times a float multiplies by float(g).
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class ThetaSpec(Record):
     run against the original.
     """
 
-    __slots__ = ("gaps", "source", "_plan")
+    __slots__ = ("gaps", "source", "_plan", "_float_gaps")
     _fields = ("gaps", "source")
 
     def __init__(self, gaps: GapSeq, source: KneadingSeq | None = None) -> None:
@@ -82,13 +85,15 @@ class ThetaSpec(Record):
         # what every evaluation needs, made once: head and period gaps in fold
         # order (last first) as positions in the distinct gaps, those gaps
         # ascending, the period's length r and gap sum s (rho = x^r y^s), m1
-        # and the term count
+        # and the term count; then those gaps as floats for the moment folds of
+        # float rows, exactly the gaps below 2^53
         head, period = gaps.head, gaps.period
         distinct = sorted(set(head + period))
         index = {g: i for i, g in enumerate(distinct)}
         plan = (tuple(index[g] for g in reversed(head)), tuple(index[g] for g in reversed(period)),
                 distinct, len(period), sum(period), gaps.m1, len(head) + len(period))
         _set(self, "_plan", plan)
+        _set(self, "_float_gaps", [float(g) for g in distinct] if gaps.m1 < 1 << 53 else distinct)
 
     @classmethod
     def from_seq(cls, m: KneadingSeq) -> "ThetaSpec":
@@ -171,7 +176,8 @@ class Quadratic2D(Record):
 # A zero gap drops every g-term, which keeps exact numbers small.  Each
 # step is linear in (1, acc), so with ``one`` in place of 1 it also steps
 # numerators over a running denominator ``one``, as the integer kernel
-# does; the generic fold passes its row's 1 and folds the value alone inline.
+# does.  The generic fold folds the value alone inline and the moments in
+# ``_fold1``/``_fold2``, one loop each with these steps' arithmetic.
 
 
 def _step0(u, g, acc, one):
@@ -198,12 +204,31 @@ def _step2(u, g, acc, one):
 _STEPS = {0: (_step0, (0,)), 1: (_step1, (0,) * 3), 2: (_step2, (0,) * 6)}
 
 
-def _fold(step, us, distinct, gaps_rev, acc, one):
-    """Apply the Horner step for each gap of ``gaps_rev`` (last gap first),
-    given as positions in ``distinct``, whose u = x y^g are ``us``."""
+def _fold1(us, gs, gaps_rev, acc, one):
+    """``_step1`` for each gap of ``gaps_rev`` (last gap first), given as
+    positions in ``gs``, whose u = x y^g are ``us``, in its operation order."""
+    s, k, m = acc
     for i in gaps_rev:
-        acc = step(us[i], distinct[i], acc, one)
-    return acc
+        u, g = us[i], gs[i]
+        p = one + s
+        s, k, m = u * p, u * (p + k), u * (g * p + m) if g else u * m
+    return s, k, m
+
+
+def _fold2(us, gs, gaps_rev, acc, one):
+    """``_fold1`` with ``_step2``."""
+    s, k, m, kk, km, mm = acc
+    for i in gaps_rev:
+        u, g = us[i], gs[i]
+        p = one + s
+        q = p + k
+        if g:
+            w = g * p + m
+            s, k, m, kk, km, mm = (u * p, u * q, u * w, u * (q + k + kk), u * (g * q + m + km),
+                                   u * (g * (w + m) + mm))
+        else:
+            s, k, m, kk, km, mm = u * p, u * q, u * m, u * (q + k + kk), u * (m + km), u * mm
+    return s, k, m, kk, km, mm
 
 
 def _fixed_point_tail(a, rho, c, r: int, s: int):
@@ -250,10 +275,10 @@ def _rational(v) -> bool:
 
 def theta_row(spec: ThetaSpec, alphas, beta) -> list:
     """The value at each alpha of a row at one beta, at tol 1e-12, as
-    ``_generic_row`` gives it, NaN at a refused point and at beta = 0, where
-    the series is undefined.  Every row takes the generic fold: a Fraction
-    row gives the integer kernel's values, exactly."""
-    if not beta:
+    ``_generic_row`` gives it, NaN at a refused point and at beta = 0 or
+    +-inf, where the series is undefined.  Every row takes the generic fold:
+    a Fraction row gives the integer kernel's values, exactly."""
+    if not 0 < abs(beta) < math.inf:  # NaN too, whose every point is refused
         return [math.nan for _ in alphas]
     values = []  # a loop, not a comprehension: cheaper on the one-point rows of curves
     for p in _generic_row(spec, alphas, beta, 1e-12, 0, True):
@@ -296,8 +321,9 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
     admitted by the sum too.  Otherwise (M >= 1, NaN, or a majorant above
     ``tol``) the sum runs and decides, so the refusals do not move."""
     head_rev, period_rev, distinct, r, s, m1, terms = spec._plan
-    # the row's 1: float on all-float rows, int on the others (module docstring)
-    one = 1.0 if type(beta) is float and all(type(a) is float for a in alphas) else 1
+    # the row's 1 and gaps: floats on all-float rows, ints on the others (module docstring)
+    floats = type(beta) is float and all(type(a) is float for a in alphas)
+    one, gs = (1.0, spec._float_gaps) if floats else (1, distinct)
     row = []
     for alpha in alphas:
         x = (alpha - one) / beta
@@ -326,9 +352,9 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
             continue
         c = one / (one - rho)
         if order:
-            step, zero = _STEPS[order]
-            tail = _fixed_point_tail(_fold(step, us, distinct, period_rev, zero, one), rho, c, r, s)
-            row.append((x, y, _fold(step, us, distinct, head_rev, tail, one)))
+            fold = _fold1 if order == 1 else _fold2
+            tail = _fixed_point_tail(fold(us, gs, period_rev, _STEPS[order][1], one), rho, c, r, s)
+            row.append((x, y, fold(us, gs, head_rev, tail, one)))
             continue
         acc = 0
         for i in period_rev:
@@ -378,7 +404,7 @@ def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> flo
     the weight 3/(1 - |rho|), which is at least 3 |c|.  So with E the
     majorant at beta under that weight, every point above is admitted with
     an error bound at most E; and with K, M the first Euler moments of the
-    magnitude series at beta (``_step1`` fed |u|, the tail fed |rho|),
+    magnitude series at beta (``_fold1`` fed |u|, the tail fed |rho|),
     |dTheta/dbeta| = |1 + (S_k + S_m)/beta| <= B = 1 + (K + M)/beta there.
     Within (|value| - 3E) / (B margin) above beta, |Theta| > 2E, so the
     float value has the sign of ``value`` and exceeds its own error bound.
@@ -394,18 +420,20 @@ def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> flo
     lead = abs(value) - 3.0 * bound
     if bound > 1e-12 or lead <= 0.0:
         return 0.0
-    tail = _fixed_point_tail(_fold(_step1, mags, distinct, period_rev, _STEPS[1][1], 1.0),
+    tail = _fixed_point_tail(_fold1(mags, spec._float_gaps, period_rev, _STEPS[1][1], 1.0),
                              arho, 1.0 / (1.0 - arho), r, s)
-    _, k, m = _fold(_step1, mags, distinct, head_rev, tail, 1.0)
+    _, k, m = _fold1(mags, spec._float_gaps, head_rev, tail, 1.0)
     return lead / ((1.0 + (k + m) / beta) * _MAJORANT_MARGIN)
 
 
 def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
     """One point through the kernel its inputs pick; a refused point raises
-    ``ConvergenceError``, as is beta = 0.  At order 1 or 2 the integer
-    kernel gives its numerators, see ``theta_exact.point``."""
+    ``ConvergenceError``, as is beta = 0 or +-inf.  At order 1 or 2 the
+    integer kernel gives its numerators, see ``theta_exact.point``."""
     if not beta:
         raise ConvergenceError(f"series undefined at beta = 0, got beta={beta}")
+    if abs(beta) == math.inf:
+        raise ConvergenceError(f"series undefined at infinite beta, got beta={beta}")
     if _rational(alpha) and _rational(beta):
         from . import theta_exact
         point = theta_exact.point(spec, alpha, beta, tol, order)
@@ -445,16 +473,33 @@ def theta_partial_sum(spec: ThetaSpec, alpha, beta, k: int):
     return part, pk
 
 
+# theta_grad's and theta_hessian's refusals: the chain rule divides by x, y
+# (0 at alpha = 1 or 0) and, at order 2, by x^2, y^2 and beta^2, which can
+# underflow; checked before dividing, and the partials' range once after
+_DIVISORS = ("x = (alpha - 1)/beta", "y = alpha/beta", "x^2", "y^2", "beta^2")
+_RANGE_REFUSAL = "derivatives past float range at alpha={}, beta={}"
+
+
+def _zero_divisor(alpha, beta, divisors) -> ConvergenceError:
+    name = next(name for name, d in zip(_DIVISORS, divisors) if not d)
+    return ConvergenceError(f"derivatives divide by {name} = 0 at alpha={alpha}, beta={beta}")
+
+
 def theta_grad(spec: ThetaSpec, alpha, beta):
     """First partials (d_alpha, d_beta) from the first Euler moments."""
     point = _point(spec, alpha, beta, 1)
+    x, y = point[:2] if len(point) == 3 else point[2:4]  # or the integer kernel's xn, yn
+    if not (x and y):
+        raise _zero_divisor(alpha, beta, (x, y))
     if len(point) != 3:  # the integer kernel's numerators
         from .theta_exact import grad
         return grad(point)
-    x, y, (_, k, m) = point
+    _, k, m = point[2]
     d_alpha = (k / x + m / y) / beta
     d_beta = -1 - (k + m) / beta
-    return d_alpha, d_beta
+    if math.isfinite(d_alpha) and math.isfinite(d_beta):
+        return d_alpha, d_beta
+    raise ConvergenceError(_RANGE_REFUSAL.format(alpha, beta))
 
 
 def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
@@ -462,14 +507,23 @@ def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
     computed once, so symmetry holds by construction."""
     point = _point(spec, alpha, beta, 2)
     if len(point) != 3:  # the integer kernel's numerators
+        if not (point[2] and point[3]):
+            raise _zero_divisor(alpha, beta, point[2:4])
         from .theta_exact import hessian
         return hessian(point)
     x, y, (_, k, m, kk, km, mm) = point
-    b2 = beta * beta
-    daa = ((kk - k) / (x * x) + 2 * km / (x * y) + (mm - m) / (y * y)) / b2
-    dab = -((kk + km) / x + (km + mm) / y) / b2
-    dbb = (kk + 2 * km + mm + k + m) / b2
-    return Quadratic2D(daa, dab, dbb)
+    xx, yy, b2 = x * x, y * y, beta * beta
+    if not (xx and yy and b2):
+        raise _zero_divisor(alpha, beta, (x, y, xx, yy, b2))
+    try:
+        daa = ((kk - k) / xx + 2 * km / (x * y) + (mm - m) / yy) / b2
+        dab = -((kk + km) / x + (km + mm) / y) / b2
+        dbb = (kk + 2 * km + mm + k + m) / b2
+    except OverflowError:  # a float over a Fraction b2 past float range
+        raise ConvergenceError(_RANGE_REFUSAL.format(alpha, beta)) from None
+    if math.isfinite(daa) and math.isfinite(dab) and math.isfinite(dbb):
+        return Quadratic2D(daa, dab, dbb)
+    raise ConvergenceError(_RANGE_REFUSAL.format(alpha, beta))
 
 
 _FIRST_RETURN_CAP = 100_000

@@ -22,8 +22,9 @@ _RATIO_CUTOFF = (0.999).as_integer_ratio()  # the float 0.999, exactly
 
 
 def _fold(step, vs, pws, distinct, gaps_rev, acc, one):
-    """``theta._fold`` on integer numerators: acc / one before a step, and
-    u = vs[i] / pws[i]; returns the numerators and their new denominator."""
+    """``step`` for each gap of ``gaps_rev`` (last first) on integer
+    numerators: acc / one before a step, and u = vs[i] / pws[i]; returns
+    the numerators and their new denominator."""
     for i in gaps_rev:
         acc = step(vs[i], distinct[i], acc, one)
         one *= pws[i]

@@ -259,6 +259,9 @@ def test_error_is_machine_readable():
      "series ratio inf >= 0.999 at alpha=1.0, beta=-5e-324"),
     # maximal, in_class_M yes; the float-grid root is 503,624 ulps off the exact one
     (["diagonal", "--seq", "RLLRRLRRRRRRLRRLRRLRRRRRRRC"], "diagonal direction not a root of the quadratic"),
+    # Theta is 0.2 there, but its derivatives would divide by x = 0
+    (["grad", "--gaps", "gaps=1;tail=R", "--alpha", "1", "--beta", "0.8"],
+     "derivatives divide by x = (alpha - 1)/beta = 0 at alpha=1.0, beta=0.8"),
 ])
 def test_bad_input_is_one_json_error_line(args, says):
     rc, out, err = run_cli_process(args, timeout=60)
