@@ -28,9 +28,9 @@ import sys
 from itertools import chain, cycle, islice
 from pathlib import Path
 
-from .symbolic import EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record, _set
+from .symbolic import EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record
 from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
-from .theta import ThetaSpec, _bisect_sign_changes, _nodes, _sign_reach, theta_row
+from .theta import ThetaSpec, _nodes, _sign_reach, sign_change_roots, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -43,19 +43,9 @@ class BracketError(RuntimeError):
 class IsentropePoint(Record):
     __slots__ = _fields = ("alpha", "beta", "residual_theta", "kneading_ok")
 
-    def __init__(self, alpha: float, beta: float, residual_theta: float, kneading_ok: bool) -> None:
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "residual_theta", residual_theta)
-        _set(self, "kneading_ok", kneading_ok)
-
 
 class ScanRoot(Record):
-    __slots__ = _fields = ("beta", "relation")
-
-    def __init__(self, beta: float, relation: str) -> None:
-        _set(self, "beta", beta)
-        _set(self, "relation", relation)  # "less", "equal" (within depth) or "greater"
+    __slots__ = _fields = ("beta", "relation")  # relation: "less", "equal" (within depth) or "greater"
 
 
 # -- presets -------------------------------------------------------------
@@ -191,15 +181,17 @@ def counterexample_scan(
     """Roots of t -> Theta(alpha0, t) on [beta_lo, beta_hi] with the kneading
     relation of each root against the spec's sequence.
 
-    Theta cannot vanish where the kneading sequence lies strictly above the
-    spec's own, so a Greater label flags an inconsistency and is reported,
-    never silently dropped.  The label depth stays a little below the
-    bisection depth: a root located to double precision drifts off a curve
-    orbit by about e^(depth * entropy), which must remain small against the
-    orbit scale for the equal-within-depth label.  A label reads the
-    orbit only up to the first symbol that decides it, so 48 is an upper
-    bound.  alpha0 must lie in (0, 1), the beta range in (0, 1] and samples
-    be at least 1; other input is refused before anything is evaluated.
+    A label is read from the float orbit at the float root, so a root on the
+    curve of a C-terminated word can read less or greater (RLLRC at
+    alpha0 = 0.58 reads greater): only a certified label could flag a root
+    where the sequence lies strictly above the spec's own, where Theta
+    cannot vanish.  The label depth stays a little below the bisection
+    depth: a root located to double precision drifts off a curve orbit by
+    about e^(depth * entropy), which must remain small against the orbit
+    scale for the equal-within-depth label.  A label reads the orbit only
+    up to the first symbol that decides it, so 48 is an upper bound.
+    alpha0 must lie in (0, 1), the beta range in (0, 1] and samples be at
+    least 1; other input is refused before anything is evaluated.
 
     The roots are those of ``sign_change_roots`` over the ``samples + 1``
     nodes ``theta._nodes(beta_lo, beta_hi, samples)``, but the grid pass
@@ -239,7 +231,7 @@ def counterexample_scan(
         skipped = False
         if abs(v) > step:  # B >= 1, so a smaller value reaches no further node
             limit = t + _sign_reach(spec, alpha0, t, v)
-    roots = _bisect_sign_changes(lambda t: _residual(spec, alpha0, t), ts, vals)
+    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts, vals)
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 
@@ -254,18 +246,12 @@ def counterexample_scan(
 class ThetaValueField(Record):
     __slots__ = _fields = ("spec",)
 
-    def __init__(self, spec: ThetaSpec) -> None:
-        _set(self, "spec", spec)
-
     def describe(self) -> str:
         return f"theta_value[{self.spec.gaps.to_text()}]"
 
 
 class ThetaSignField(Record):
     __slots__ = _fields = ("spec",)
-
-    def __init__(self, spec: ThetaSpec) -> None:
-        _set(self, "spec", spec)
 
     def describe(self) -> str:
         return f"theta_sign[{self.spec.gaps.to_text()}]"
@@ -275,23 +261,15 @@ class KneadingClassField(Record):
     __slots__ = _fields = ("depth",)
 
     def __init__(self, depth: int = 8) -> None:
-        _set(self, "depth", depth)
+        super().__init__(depth)
 
     def describe(self) -> str:
         return f"kneading_class[depth={self.depth}]"
 
 
 class RasterGrid(Record):
+    # values: row-major, top row = beta_range[1]
     __slots__ = _fields = ("alpha_range", "beta_range", "width", "height", "values", "field")
-
-    def __init__(self, alpha_range: tuple[float, float], beta_range: tuple[float, float], width: int,
-                 height: int, values: tuple[float, ...], field: str) -> None:
-        _set(self, "alpha_range", alpha_range)
-        _set(self, "beta_range", beta_range)
-        _set(self, "width", width)
-        _set(self, "height", height)
-        _set(self, "values", values)  # row-major, top row = beta_range[1]
-        _set(self, "field", field)
 
     def node(self, col: int, row: int) -> tuple[float, float]:
         """The node at (col, row), read off ``axes``."""

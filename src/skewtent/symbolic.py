@@ -38,12 +38,25 @@ _set = object.__setattr__  # how a record's __init__ sets its fields
 
 class Record:
     """Base of the library's immutable value types.  A subclass names its
-    fields in ``_fields`` and ``__slots__`` and sets them in ``__init__``
-    with ``_set``; equality within one class, the hash, the repr, pickling
-    and copying (through ``__init__``) follow from the fields."""
+    fields in ``_fields`` and ``__slots__``; ``__init__`` takes them by
+    position or by name, as a call would bind them, and only a record that
+    checks or derives a slot writes its own, setting them with ``_set``.
+    Equality within one class, the hash, the repr, pickling and copying
+    (through ``__init__``) follow from the fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or len(args) != len(names):  # all by position is the fast path
+            rest = names[len(args):]  # the fields after the positional ones: each by name, once
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(names)}, "
+                                f"got {len(args)} by position and {', '.join(kwargs) or 'none'} by name")
+            args += tuple([kwargs[name] for name in rest])
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -4,12 +4,13 @@ reads the critical orbit only up to the first symbol that decides its
 order against a target.
 
 The two orbit walkers, ``kneading_prefix_at`` and ``kneading_order_at``,
-take alpha in (0, 1) and refuse any other with ``ValueError``.  They
-classify each iterate x once, by the comparison chain x < alpha, x >
-alpha, x == alpha, then NaN.  The side fixes the C band test (alpha - x
-or x - alpha against ``eps_c``, made only for a nonzero ``eps_c``), the
-one [0, 1] guard compare that can fire there (x < 0 on the left, x > 1
-on the right) and the branch that moves x.
+take alpha in (0, 1): they make the slopes first, so alpha = 0 or 1
+raises ``ZeroDivisionError``, and refuse any other alpha with
+``ValueError``.  They classify each iterate x once, by the comparison
+chain x < alpha, x > alpha, x == alpha, then NaN.  The side fixes the C
+band test (alpha - x or x - alpha against ``eps_c``, made only for a
+nonzero ``eps_c``), the one [0, 1] guard compare that can fire there
+(x < 0 on the left, x > 1 on the right) and the branch that moves x.
 
 All arithmetic is type generic: passing ``fractions.Fraction`` parameters
 gives exact orbits, floats give the usual double precision ones.  The

@@ -30,8 +30,8 @@ magnitude series sum |x|^k y^{mbar_k}, its Euler moments and the guards'
 inputs.  ``_sign_reach`` turns that into the reach of an admitted point:
 how far above it the value keeps its sign, from a bound on the error of
 every point above and a bound on |dTheta/dbeta| from the magnitude
-moments.  The counterexample scan skips the grid nodes within that reach;
-``sign_change_roots`` is its grid pass over ``_bisect_sign_changes``.
+moments.  The counterexample scan skips the grid nodes within that reach
+and hands its grid values, stand-ins included, to ``sign_change_roots``.
 Every grid of ``theta`` and ``curves`` is ``_nodes``, which ends at its own
 ends; ``algebraic.isolate_real_roots`` keeps its own grid, shifted in from
 the interval's ends.
@@ -44,8 +44,9 @@ denominator, and one Fraction is formed per result, exact.  Any float input
 runs the generic fold here, which is arithmetic-generic and keeps its float
 operation order.  Both give the same guards, refusal texts and
 ``terms_used``, and one ``_roundoff_bound`` makes both ``error_bound``s.
-Rows, rational ones too, always take the generic fold, which gives the
-integer kernel's values on Fractions.  A one-point evaluation refuses
+Rows always take the generic fold, in their inputs' arithmetic: only a row
+holding a Fraction gives the integer kernel's exact values, and an all-int
+row divides int by int into floats.  A one-point evaluation refuses
 beta = 0, where the series is undefined.
 
 The generic fold's 1 and gaps are floats on a row whose beta and every
@@ -152,21 +153,11 @@ def exceptional_spec() -> ThetaSpec:
 class ThetaValue(Record):
     __slots__ = _fields = ("value", "error_bound", "terms_used")
 
-    def __init__(self, value: float, error_bound: float, terms_used: int) -> None:
-        _set(self, "value", value)
-        _set(self, "error_bound", error_bound)
-        _set(self, "terms_used", terms_used)
-
 
 class Quadratic2D(Record):
     """Symmetric quadratic form a x^2 + 2 b xy + c y^2."""
 
     __slots__ = _fields = ("a", "b", "c")
-
-    def __init__(self, a: float, b: float, c: float) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
 
 
 # One Horner step acc -> u (1 + acc) with u = x y^g, on S and its Euler
@@ -255,7 +246,7 @@ _BOUND_REFUSAL = "roundoff bound {:.2e} exceeds requested tol {:.2e}"
 
 
 def _ratio(eta) -> float:
-    """A refused series ratio as a float, inf past float range."""
+    """A number of a ratio refusal as a float, inf past float range."""
     try:
         return float(eta)
     except OverflowError:
@@ -276,8 +267,9 @@ def _rational(v) -> bool:
 def theta_row(spec: ThetaSpec, alphas, beta) -> list:
     """The value at each alpha of a row at one beta, at tol 1e-12, as
     ``_generic_row`` gives it, NaN at a refused point and at beta = 0 or
-    +-inf, where the series is undefined.  Every row takes the generic fold:
-    a Fraction row gives the integer kernel's values, exactly."""
+    +-inf, where the series is undefined.  The fold runs in the inputs'
+    arithmetic: a row holding a Fraction gives the integer kernel's values,
+    exactly, and an all-int row divides int by int into floats."""
     if not 0 < abs(beta) < math.inf:  # NaN too, whose every point is refused
         return [math.nan for _ in alphas]
     values = []  # a loop, not a comprehension: cheaper on the one-point rows of curves
@@ -309,9 +301,10 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
     at order 1 or 2: S, then S_k = x dS/dx and S_m = y dS/dy, then S_kk,
     S_km and S_mm, the series with each term weighted by k, mbar_k, k^2,
     k mbar_k and mbar_k^2.  A refused point is not raised: it gives its
-    message as a format string and arguments.  The error bound covers
-    roundoff only, as the tail is summed exactly; a bound above ``tol``
-    refuses the point.
+    message as a format string and arguments.  A number past float range,
+    a mixed point's Fraction among them, is refused as an infinite ratio.
+    The error bound covers roundoff only, as the tail is summed exactly; a
+    bound above ``tol`` refuses the point.
 
     The roundoff sum folds mag -> |u| (1 + mag) as the value folds.  With
     M = max |u| < 1 and q = M / (1 - M), it is at most q + 3 |c| q M^H
@@ -326,20 +319,16 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
     one, gs = (1.0, spec._float_gaps) if floats else (1, distinct)
     row = []
     for alpha in alphas:
-        x = (alpha - one) / beta
-        y = alpha / beta
-        if not -math.inf < y < math.inf:  # 1/beta overflowed (or NaN): x y^g would be 0 inf
-            row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
-            continue
-        # dominating term ratio |x| max(1, y)^{m1}, infinite past float range
         try:
+            x = (alpha - one) / beta
+            y = alpha / beta
+            if not -math.inf < y < math.inf:  # 1/beta overflowed (or NaN): x y^g would be 0 inf
+                raise OverflowError
+            # dominating term ratio |x| max(1, y)^{m1}
             eta = abs(x) * y ** m1 if y > one else abs(x)
-        except OverflowError:
-            eta = math.inf
-        if eta >= 0.999:
-            row.append((_RATIO_REFUSAL, _ratio(eta), float(alpha), float(beta)))
-            continue
-        try:
+            if eta >= 0.999:
+                row.append((_RATIO_REFUSAL, _ratio(eta), float(alpha), float(beta)))
+                continue
             rho = x ** r * y ** s
             if abs(rho) >= one:
                 row.append(_TAIL_REFUSAL)
@@ -347,35 +336,30 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
             us = []  # us[i] = x y^g for the i-th distinct gap g
             for gap in distinct:
                 us.append(x * y ** gap)
-        except OverflowError:  # a power past float range (y < -1), refused as y ** m1 is
-            row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
-            continue
-        c = one / (one - rho)
-        if order:
-            fold = _fold1 if order == 1 else _fold2
-            tail = _fixed_point_tail(fold(us, gs, period_rev, _STEPS[order][1], one), rho, c, r, s)
-            row.append((x, y, fold(us, gs, head_rev, tail, one)))
-            continue
-        acc = 0
-        for i in period_rev:
-            acc = us[i] * (one + acc)
-        acc = c * acc
-        for i in head_rev:
-            acc = us[i] * (one + acc)
-        mags = []  # mags[i] = |us[i]|
-        try:
+            c = one / (one - rho)
+            if order:
+                fold = _fold1 if order == 1 else _fold2
+                tail = _fixed_point_tail(fold(us, gs, period_rev, _STEPS[order][1], one), rho, c, r, s)
+                row.append((x, y, fold(us, gs, head_rev, tail, one)))
+                continue
+            acc = 0
+            for i in period_rev:
+                acc = us[i] * (one + acc)
+            acc = c * acc
+            for i in head_rev:
+                acc = us[i] * (one + acc)
+            mags = []  # mags[i] = |us[i]|
             for u in us:
                 mags.append(abs(float(u)))
             weight = 3.0 * abs(float(c))
-        except OverflowError:  # a rational u or c past float range, refused as a float power is
-            row.append((_RATIO_REFUSAL, math.inf, float(alpha), float(beta)))
-            continue
-        bound = None
-        if value_only and (top := max(mags)) < 1.0:
-            bound = _majorant(top, weight, len(head_rev))
-        if bound is None or bound > tol:  # no majorant, or it does not admit: the sum decides
-            bound = _roundoff_bound(spec, mags, weight)
-        row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (one - beta + acc, bound, terms))
+            bound = None
+            if value_only and (top := max(mags)) < 1.0:
+                bound = _majorant(top, weight, len(head_rev))
+            if bound is None or bound > tol:  # no majorant, or it does not admit: the sum decides
+                bound = _roundoff_bound(spec, mags, weight)
+            row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (one - beta + acc, bound, terms))
+        except (OverflowError, ZeroDivisionError):  # past float range: an infinite ratio
+            row.append((_RATIO_REFUSAL, math.inf, _ratio(alpha), _ratio(beta)))
     return row
 
 
@@ -519,10 +503,10 @@ def theta_hessian(spec: ThetaSpec, alpha, beta) -> Quadratic2D:
         daa = ((kk - k) / xx + 2 * km / (x * y) + (mm - m) / yy) / b2
         dab = -((kk + km) / x + (km + mm) / y) / b2
         dbb = (kk + 2 * km + mm + k + m) / b2
+        if math.isfinite(daa) and math.isfinite(dab) and math.isfinite(dbb):
+            return Quadratic2D(daa, dab, dbb)
     except OverflowError:  # a float over a Fraction b2 past float range
-        raise ConvergenceError(_RANGE_REFUSAL.format(alpha, beta)) from None
-    if math.isfinite(daa) and math.isfinite(dab) and math.isfinite(dbb):
-        return Quadratic2D(daa, dab, dbb)
+        pass
     raise ConvergenceError(_RANGE_REFUSAL.format(alpha, beta))
 
 
@@ -549,22 +533,20 @@ def _nodes(lo, hi, n: int) -> list:
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 
-def sign_change_roots(f, xs) -> list:
+def sign_change_roots(f, xs, vals=None) -> list:
     """Roots of f located by sign changes between consecutive nodes xs,
     which must increase: a bracket with descending ends is not bisected.
 
     A node where f is exactly 0 is returned as is; pairs with a NaN end
     are skipped.  A sign change is bisected until its bracket ends are
     adjacent floats, and the rounded midpoint, one of the two, is returned.
+    ``vals`` holds the grid values when the caller has them.  A value may
+    stand in for f(x) where f(x) is proven nonzero with its sign and both
+    neighbours hold values of that same sign: no pair with a stand-in is
+    then a sign change, so every zero and every bisected end is f's own.
     """
-    return _bisect_sign_changes(f, xs, [f(x) for x in xs])
-
-
-def _bisect_sign_changes(f, xs, vals) -> list:
-    """``sign_change_roots`` over given grid values.  A value may stand in
-    for f(x) where f(x) is proven nonzero with its sign and both neighbours
-    hold values of that same sign: no pair with a stand-in is then a sign
-    change, so every zero and every bisected end is f's own value."""
+    if vals is None:
+        vals = [f(x) for x in xs]
     roots = []
     for i, (lo, f_lo) in enumerate(zip(xs, vals)):
         if f_lo == 0:
@@ -600,9 +582,8 @@ def diagonal_stationary_beta(spec: ThetaSpec) -> float:
     the pick is the whole grid's.  When no root is consistent, the whole
     grid is searched again to name every root in the refusal.
     """
-    lo, hi, grid = _STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID
     m1 = spec.m1
-    xs = _nodes(lo, hi, grid)
+    xs = _nodes(_STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID)
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)
     blo = (m1 - 1) / m1 if m1 > 1 else 0.0
     bhi = (m1 + 2) / (m1 + 3)

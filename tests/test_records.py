@@ -182,3 +182,24 @@ def test_kneading_order():
     assert low <= parse_seq("RLC") and not low < parse_seq("RLC")
     assert sorted([parse_seq("RL(R)"), high, low, parse_seq("(RL)")]) == [
         parse_seq("(RL)"), parse_seq("RL(R)"), low, high]
+
+
+def test_records_bind_their_fields_as_a_call_would():
+    # a record that neither checks nor derives a slot takes Record's
+    # constructor: the fields by position, then the rest by name, each once
+    point = IsentropePoint(0.5, 0.75, -0.125, True)
+    assert IsentropePoint(0.5, 0.75, kneading_ok=True, residual_theta=-0.125) == point
+    assert IsentropePoint(kneading_ok=True, beta=0.75, alpha=0.5, residual_theta=-0.125) == point
+    assert KneadingClassField(depth=3) == KneadingClassField(3)
+    for make in (lambda: IsentropePoint(0.5, 0.75, -0.125),  # a field missing
+                 lambda: IsentropePoint(0.5, 0.75, -0.125, True, 1),  # one too many
+                 lambda: IsentropePoint(0.5, 0.75, -0.125, ok=True),  # an unknown name
+                 lambda: IsentropePoint(0.5, 0.75, -0.125, True, alpha=0.5),  # alpha twice
+                 lambda: ScanRoot(relation="less"),
+                 lambda: ScanRoot(),
+                 lambda: KneadingClassField(8, depth=8)):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(TypeError) as info:
+        ScanRoot(0.7, beta=0.8)
+    assert str(info.value) == "ScanRoot() takes the fields beta, relation, got 1 by position and beta by name"

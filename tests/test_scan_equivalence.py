@@ -96,13 +96,13 @@ def test_bisection_reads_real_values_at_every_bracket_end(monkeypatch):
     # borders a sign change, a zero or a NaN it is evaluated after all, so
     # every zero and bracket end the bisection reads is Theta's own value
     calls = []
-    bisect = curves._bisect_sign_changes
+    bisect = curves.sign_change_roots
 
     def recording(f, xs, vals):
         calls.append((xs, list(vals)))
         return bisect(f, xs, vals)
 
-    monkeypatch.setattr(curves, "_bisect_sign_changes", recording)
+    monkeypatch.setattr(curves, "sign_change_roots", recording)
     for name, spec, a0, lo, hi, samples in _cases()[::3]:
         _outcome(_scan, spec, a0, lo, hi, samples)
         xs, vals = calls.pop()
