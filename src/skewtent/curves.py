@@ -1,18 +1,23 @@
 """Isentrope tracing, counterexample scanning and level-set rasters.
 
 Curve points are located by bisection in beta using the parity order of
-kneading sequences, which is monotone along verticals; each probe reads
-the orbit only up to the first symbol that decides it.  Counterexample
-scans bisect the sign changes of Theta on a grid along a vertical.  Theta
-need not be monotone there, but every magnitude term of its series falls
-as beta rises, so an evaluated grid node proves the sign of the nodes just
-above it; only nodes with no proven sign, or next to a sign change, are
-evaluated.  Rasters evaluate a scalar field on an inclusive rectangular
-grid in deterministic row-major order (top row = largest beta) so
-identical inputs give bit-identical output files.  Their rows are dealt
-round-robin into one share per usable CPU; forked children compute every
-share but the caller's, and the shares are merged back in row order.
-Small rasters, one CPU or a live thread keep the rows in process.
+kneading sequences, which is monotone along verticals; the halvings run
+inside the orbit walker (``tentmap.kneading_bisect_at``), and each probe
+reads the orbit only up to the first symbol that decides it.
+Counterexample scans bisect the sign changes of Theta on a grid along a
+vertical.  Theta need not be monotone there, but every magnitude term of
+its series falls as beta rises, so an evaluated grid node proves the sign
+of the nodes just above it; only nodes with no proven sign, or next to a
+sign change, are evaluated.  The same terms bound the curvature of Theta
+above a bracket's lower node, so the bisection proves a midpoint's sign
+from the chord of the nearest evaluated points where it can, and
+evaluates Theta only where it cannot.  Rasters evaluate a scalar field on
+an inclusive rectangular grid in deterministic row-major order (top row =
+largest beta) so identical inputs give bit-identical output files.
+Their rows are dealt round-robin into one share per usable CPU; forked
+children compute every share but the caller's, and the shares are merged
+back in row order.  Small rasters, one CPU or a live thread keep the rows
+in process.
 Kneading-class ids are assigned after the merge, so the bytes never
 depend on the share count.
 Every grid here is ``theta._nodes``, which ends at its own ends.
@@ -29,8 +34,8 @@ from itertools import chain, cycle, islice
 from pathlib import Path
 
 from .symbolic import EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record
-from .tentmap import TentParams, kneading_order_at, kneading_prefix_at
-from .theta import ThetaSpec, _nodes, _sign_reach, sign_change_roots, theta_row
+from .tentmap import TentParams, kneading_bisect_at, kneading_order_at, kneading_prefix_at
+from .theta import ThetaSpec, _curvature_bound, _nodes, _sign_reach, sign_change_roots, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -102,49 +107,43 @@ def kneading_bisect_beta(m: KneadingSeq, alpha: float) -> IsentropePoint:
     decides its order against m (a difference or a shared C), so 64
     symbols per probe and 48 for the verification are upper bounds.
 
-    Probes: the bracket ends, one per halving and the verification.
-    (alpha, beta) is checked once, as a ``TentParams`` at the bracket
-    bottom, since every probe lies on the same vertical between it and
-    beta = 1; a bad alpha gets the ``TentParams`` refusal.
+    Probes: the bracket ends, one per halving and the verification.  The
+    halvings run in ``tentmap.kneading_bisect_at``, one loop that walks
+    every probe's orbit, so a halving costs no call.  (alpha, beta) is
+    checked once, as a ``TentParams`` at the bracket bottom, since every
+    probe lies on the same vertical between it and beta = 1; a bad alpha
+    gets the ``TentParams`` refusal.
     """
-    return _bisect(m, _spec(m), alpha, 1e-12)
+    return _bisector(m, _spec(m), 1e-12)(alpha)
 
 
-def _bisect(m, spec, alpha, tol) -> IsentropePoint:
-    """``kneading_bisect_beta`` with m's spec and the tolerance given by the caller."""
+def _bisector(m: KneadingSeq, spec, tol):
+    """``kneading_bisect_beta`` at a given alpha for this m, its spec and
+    the tolerance given by the caller, as a function of alpha: m's two
+    target texts and its RL^inf test are made once."""
     if m == RL_INFINITY:
         # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
-        return IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m) == EQUAL)
+        return lambda alpha: IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m) == EQUAL)
+    target, label, eps_c = m.text(_BISECT_DEPTH), m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0
 
-    lo = max(1 - alpha, alpha, 0.5) + 1e-9
-    hi = 1.0
-    if lo >= hi:
-        raise BracketError(f"empty beta range at alpha={alpha}")
-    TentParams(alpha, lo)  # the one (alpha, beta) check: every probe lies in [lo, 1]
-    target = m.text(_BISECT_DEPTH)
-    if kneading_order_at(alpha, lo, target) >= 0:
-        raise BracketError(
-            f"no valid bracket at alpha={alpha}: kneading at beta={lo:.6g} is not below target"
-        )
-    if kneading_order_at(alpha, hi, target) < 0:
-        raise BracketError(f"no valid bracket at alpha={alpha}: top of range is below target")
+    def bisect(alpha) -> IsentropePoint:
+        lo = max(1 - alpha, alpha, 0.5) + 1e-9
+        hi = 1.0
+        if lo >= hi:
+            raise BracketError(f"empty beta range at alpha={alpha}")
+        TentParams(alpha, lo)  # the one (alpha, beta) check: every probe lies in [lo, 1]
+        if kneading_order_at(alpha, lo, target) >= 0:
+            raise BracketError(
+                f"no valid bracket at alpha={alpha}: kneading at beta={lo:.6g} is not below target"
+            )
+        if kneading_order_at(alpha, hi, target) < 0:
+            raise BracketError(f"no valid bracket at alpha={alpha}: top of range is below target")
+        _, lo, hi = kneading_bisect_at(alpha, target, lo, hi, tol)
+        beta = 0.5 * (lo + hi)
+        ok = kneading_order_at(alpha, beta, label, eps_c) == EQUAL
+        return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: the bracket cannot shrink any further
-        c = kneading_order_at(alpha, mid, target)
-        if c == EQUAL:
-            lo = hi = mid
-            break
-        if c < 0:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-
-    ok = kneading_order_at(alpha, beta, m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0) == EQUAL
-    return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
+    return bisect
 
 
 def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12):
@@ -152,20 +151,21 @@ def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12):
     rather than aborting the trace.
 
     Each node runs the probes of ``kneading_bisect_beta``.  m's spec, which
-    only sets the residuals, is a function of m alone and is made once per
-    trace.  A sequence without one fails every node; RL^inf needs none and
-    gives its beta = 1 boundary points.  A NaN ``tol`` is refused.
+    only sets the residuals, its target texts and its RL^inf test are
+    functions of m alone and are made once per trace.  A sequence without
+    a spec fails every node; RL^inf needs none and gives its beta = 1
+    boundary points.  A NaN ``tol`` is refused.
     """
     if math.isnan(tol):
         raise ValueError(f"tol must not be NaN, got {tol}")
     try:
-        spec = _spec(m)
+        bisect = _bisector(m, _spec(m), tol)
     except ValueError:
         return [IsentropePoint(a, NAN, NAN, False) for a in alphas]
     points: list[IsentropePoint] = []
     for a in alphas:
         try:
-            points.append(_bisect(m, spec, a, tol))
+            points.append(bisect(a))
         except (BracketError, ValueError):
             points.append(IsentropePoint(a, NAN, NAN, False))
     return points
@@ -205,7 +205,17 @@ def counterexample_scan(
     |v| at most the grid step reaches no further node, and its reach is not
     computed.  A skipped node next to an opposite sign, a zero or a NaN is
     evaluated after all, so every zero and every bracket end that the
-    bisection reads is a real value, and the bisection is unchanged.
+    bisection reads is a real value.
+
+    The bisection proves signs too (``sign_change_roots``' bounds).  A
+    term of the series is a constant times beta^-n, so at a bracket's
+    lower node the magnitude moments bound |d^2 Theta/dbeta^2| by M2 at
+    every point above it (``theta._curvature_bound``), where E bounds the
+    error.  A midpoint t between evaluated points p < t < q takes the sign
+    of the float chord l(t) where |l(t)| > M2 (t - p)(q - t)/2 + 3E + the
+    chord's rounding, and is evaluated otherwise.  The bisection reads only
+    signs and a proven sign is never 0, so the midpoints and the roots are
+    those of the bisection that evaluates every midpoint.
     """
     if not beta_lo < beta_hi:
         raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
@@ -231,7 +241,8 @@ def counterexample_scan(
         skipped = False
         if abs(v) > step:  # B >= 1, so a smaller value reaches no further node
             limit = t + _sign_reach(spec, alpha0, t, v)
-    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts, vals)
+    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts, vals,
+                              lambda t: _curvature_bound(spec, alpha0, t))
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 

@@ -1,9 +1,12 @@
 """The skew tent map family: evaluation, orbits, kneading sequences and a
 lap-count entropy estimator.  A kneading probe (``kneading_order_at``)
 reads the critical orbit only up to the first symbol that decides its
-order against a target.
+order against a target.  A bisection in beta on that order
+(``kneading_bisect_at``) walks every probe's orbit in one loop, so a
+probe costs no call, alpha check or type test; ``kneading_order_at`` is
+that loop's one-probe case.
 
-The two orbit walkers, ``kneading_prefix_at`` and ``kneading_order_at``,
+The two orbit walkers, ``kneading_prefix_at`` and ``kneading_bisect_at``,
 take alpha in (0, 1): they make the slopes first, so alpha = 0 or 1
 raises ``ZeroDivisionError``, and refuse any other alpha with
 ``ValueError``.  They classify each iterate x once, by the comparison
@@ -119,7 +122,9 @@ def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> str:
 def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
     """Parity order (LESS, EQUAL or GREATER) of the kneading sequence at the
     turning point (alpha, beta), checked as in ``kneading_prefix_at``,
-    against the symbol string ``target``.
+    against the symbol string ``target``: ``kneading_bisect_at`` with beta
+    as its given probe and (beta, beta) as its bracket, which leaves no
+    midpoint to probe after it.
 
     Each symbol is made by ``kneading_prefix_at``'s comparison chain and
     compared with ``target`` at once, and the orbit is read only up to the
@@ -134,42 +139,80 @@ def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
     one reads two symbol strings, this one an orbit against a string.
     ``tests/test_kneading_order.py`` holds the two to the same answers.
     """
-    x = beta
-    lam, mu = x / alpha, x / (1 - alpha)
+    return kneading_bisect_at(alpha, target, beta, beta, 0, eps_c, beta)[0]
+
+
+def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None) -> tuple:
+    """Bisect the bracket (lo, hi) in beta on the order of the kneading
+    sequence at (alpha, beta) against ``target``, as ``kneading_order_at``
+    defines it: a probe below the target moves lo to its beta, one above
+    moves hi, and EQUAL closes the bracket on it.  While the bracket is
+    wider than ``tol`` and its float midpoint 0.5 (lo + hi) lies strictly
+    inside, that midpoint is the next probe; a given ``beta`` is probed
+    first, whatever the bracket.  Returns the last probe's order (None if
+    there was none) and the bracket.
+
+    Every probe walks in this one loop: alpha is checked and the constants
+    are picked once, by lo, and a probe makes only its slopes.
+    """
+    ca = 1 - alpha
     if not 0 < alpha < 1:
+        lam, mu = lo / alpha, lo / ca  # the slopes, as ever: alpha = 0 or 1 divides by zero
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    zero, one = (0.0, 1.0) if type(beta) is float else (0, 1)
-    odd = False  # the symbols read so far hold an odd number of R's
-    for t in target:
-        if x < alpha:
-            if not (eps_c and alpha - x <= eps_c):
-                if x < zero:
-                    raise ValueError(f"x={x} outside [0,1]")
-                if t != L:
-                    return GREATER if odd else LESS
+    zero, one = (0.0, 1.0) if type(lo) is float else (0, 1)
+    order = None
+    while True:
+        if beta is None:
+            beta = 0.5 * (lo + hi)
+            if not (hi - lo > tol and lo < beta < hi):  # adjacent floats stop it too
+                return order, lo, hi
+        x = beta
+        lam, mu = x / alpha, x / ca
+        odd = False  # the symbols read so far hold an odd number of R's
+        for t in target:
+            if x < alpha:
+                if not (eps_c and alpha - x <= eps_c):
+                    if x < zero:
+                        raise ValueError(f"x={x} outside [0,1]")
+                    if t != L:
+                        order = GREATER if odd else LESS
+                        break
+                    x = lam * x
+                    continue
+            elif x > alpha:
+                if not (eps_c and x - alpha <= eps_c):
+                    if x > one:
+                        raise ValueError(f"x={x} outside [0,1]")
+                    if t != R:
+                        order = LESS if odd else GREATER
+                        break
+                    odd = not odd
+                    x = mu * (one - x)
+                    continue
+            elif not (x == alpha and eps_c >= 0):  # NaN, or x == alpha with eps_c < 0 or NaN: R
+                if t != R:
+                    order = LESS if odd else GREATER
+                    break
+                odd = not odd
                 x = lam * x
                 continue
-        elif x > alpha:
-            if not (eps_c and x - alpha <= eps_c):
-                if x > one:
-                    raise ValueError(f"x={x} outside [0,1]")
-                if t != R:
-                    return LESS if odd else GREATER
-                odd = not odd
-                x = mu * (one - x)
-                continue
-        elif not (x == alpha and eps_c >= 0):  # NaN, or x == alpha with eps_c < 0 or NaN: R
-            if t != R:
-                return LESS if odd else GREATER
-            odd = not odd
-            x = lam * x
-            continue
-        # the symbol is C
-        if t == C:
-            return EQUAL
-        d = GREATER if t == L else LESS
-        return -d if odd else d
-    return EQUAL
+            # the symbol is C
+            if t == C:
+                order = EQUAL
+            else:
+                order = GREATER if t == L else LESS
+                if odd:
+                    order = -order
+            break
+        else:
+            order = EQUAL
+        if order == EQUAL:
+            return order, beta, beta
+        if order < 0:
+            lo = beta
+        else:
+            hi = beta
+        beta = None
 
 
 class LapOverflowError(RuntimeError):

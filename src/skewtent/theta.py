@@ -31,7 +31,10 @@ inputs.  ``_sign_reach`` turns that into the reach of an admitted point:
 how far above it the value keeps its sign, from a bound on the error of
 every point above and a bound on |dTheta/dbeta| from the magnitude
 moments.  The counterexample scan skips the grid nodes within that reach
-and hands its grid values, stand-ins included, to ``sign_change_roots``.
+and hands its grid values, stand-ins included, to ``sign_change_roots``,
+with ``_curvature_bound``: the second magnitude moments bound the
+curvature of Theta above a point, so its bisection proves a midpoint's
+sign from a chord where it can and evaluates only where it cannot.
 Every grid of ``theta`` and ``curves`` is ``_nodes``, which ends at its own
 ends; ``algebraic.isolate_real_roots`` keeps its own grid, shifted in from
 the interval's ends.
@@ -376,24 +379,19 @@ def _roundoff_bound(spec: ThetaSpec, mags, weight) -> float:
     return 8e-16 * (mag + 1.0)
 
 
-def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> float:
-    """How far above beta the value-only Theta keeps the sign of ``value``,
-    the value ``theta_row`` gave at (alpha, beta), an admitted point of the
-    vertical at 0 < alpha < 1 with beta > 0; 0 where the majorant does not
-    admit the point.
+def _vertical_bound(spec: ThetaSpec, alpha: float, beta: float, order: int):
+    """The majorant E at the point (alpha, beta) of the vertical 0 < alpha
+    < 1, beta > 0, under the weight 3/(1 - |rho|), and, where E <= 1e-12,
+    the magnitude moments of ``order`` there: ``_fold1`` or ``_fold2`` fed
+    |u| by distinct gap, the tail fed |rho|; otherwise None in their place.
+    The point must be admitted, so that |u| and |rho| lie below 1.
 
-    Along that vertical |x| = (1 - alpha)/beta and y = alpha/beta fall as
-    beta rises, so every term of the magnitude series sum |x|^k y^{mbar_k}
-    falls, and so do the guards' inputs: eta, |rho|, the majorant's top and
-    the weight 3/(1 - |rho|), which is at least 3 |c|.  So with E the
-    majorant at beta under that weight, every point above is admitted with
-    an error bound at most E; and with K, M the first Euler moments of the
-    magnitude series at beta (``_fold1`` fed |u|, the tail fed |rho|),
-    |dTheta/dbeta| = |1 + (S_k + S_m)/beta| <= B = 1 + (K + M)/beta there.
-    Within (|value| - 3E) / (B margin) above beta, |Theta| > 2E, so the
-    float value has the sign of ``value`` and exceeds its own error bound.
-    The margin covers the rounding of these folds of positive terms, as it
-    does the majorant's."""
+    Along the vertical |x| = (1 - alpha)/beta and y = alpha/beta fall as
+    beta rises, so every term |x|^k y^{mbar_k} of the magnitude series and
+    every term of its moments falls, and so do the guards' inputs: eta,
+    |rho|, the majorant's top and the weight, which is at least 3 |c|.  So
+    at E <= 1e-12 every point above is admitted with an error bound at most
+    E.  ``_fold2``'s first three moments are ``_fold1``'s, bit for bit."""
     head_rev, period_rev, distinct, r, s = spec._plan[:5]
     ax = (1.0 - alpha) / beta
     y = alpha / beta
@@ -401,13 +399,53 @@ def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> flo
     top = max(mags)  # at most eta, and |rho| at most eta^r: the point is admitted
     arho = ax ** r * y ** s
     bound = _majorant(top, 3.0 / (1.0 - arho), len(head_rev))
-    lead = abs(value) - 3.0 * bound
-    if bound > 1e-12 or lead <= 0.0:
-        return 0.0
-    tail = _fixed_point_tail(_fold1(mags, spec._float_gaps, period_rev, _STEPS[1][1], 1.0),
+    if bound > 1e-12:
+        return bound, None
+    fold = _fold1 if order == 1 else _fold2
+    tail = _fixed_point_tail(fold(mags, spec._float_gaps, period_rev, _STEPS[order][1], 1.0),
                              arho, 1.0 / (1.0 - arho), r, s)
-    _, k, m = _fold1(mags, spec._float_gaps, head_rev, tail, 1.0)
+    return bound, fold(mags, spec._float_gaps, head_rev, tail, 1.0)
+
+
+def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> float:
+    """How far above beta the value-only Theta keeps the sign of ``value``,
+    the value ``theta_row`` gave at (alpha, beta), an admitted point of the
+    vertical at 0 < alpha < 1 with beta > 0; 0 where the majorant does not
+    admit the point.
+
+    With E the majorant at beta (``_vertical_bound``), every point above is
+    admitted with an error bound at most E; and with K, M the first Euler
+    moments of the magnitude series at beta, |dTheta/dbeta| =
+    |1 + (S_k + S_m)/beta| <= B = 1 + (K + M)/beta there.  Within
+    (|value| - 3E) / (B margin) above beta, |Theta| > 2E, so the float
+    value has the sign of ``value`` and exceeds its own error bound.  The
+    margin covers the rounding of these folds of positive terms, as it
+    does the majorant's."""
+    bound, moments = _vertical_bound(spec, alpha, beta, 1)
+    lead = abs(value) - 3.0 * bound
+    if moments is None or lead <= 0.0:
+        return 0.0
+    _, k, m = moments
     return lead / ((1.0 + (k + m) / beta) * _MAJORANT_MARGIN)
+
+
+def _curvature_bound(spec: ThetaSpec, alpha: float, beta: float):
+    """``sign_change_roots``' bounds at the admitted point (alpha, beta) of
+    the vertical at 0 < alpha < 1 with beta > 0: (M2, E), which hold at
+    every point above, or None where the majorant E exceeds 1e-12.
+
+    A term t_k = x^k y^{mbar_k} is a constant times beta^-n with n = k +
+    mbar_k, so its second derivative in beta is n (n + 1) t_k / beta^2,
+    and |d^2 Theta/dbeta^2| <= sum |t_k| n (n + 1) / beta^2, which falls
+    as beta rises.  With n (n + 1) = k^2 + 2 k mbar_k + mbar_k^2 + k +
+    mbar_k, that sum is M2 = (K_kk + 2 K_km + K_mm + K_k + K_m) / beta^2
+    on the magnitude moments (``_vertical_bound``), scaled by the margin,
+    which covers their rounding."""
+    bound, moments = _vertical_bound(spec, alpha, beta, 2)
+    if moments is None:
+        return None
+    _, k, m, kk, km, mm = moments
+    return (kk + 2.0 * km + mm + k + m) / (beta * beta) * _MAJORANT_MARGIN, bound
 
 
 def _point(spec: ThetaSpec, alpha, beta, order: int, tol: float = 1e-12):
@@ -533,7 +571,7 @@ def _nodes(lo, hi, n: int) -> list:
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 
-def sign_change_roots(f, xs, vals=None) -> list:
+def sign_change_roots(f, xs, vals=None, bounds=None) -> list:
     """Roots of f located by sign changes between consecutive nodes xs,
     which must increase: a bracket with descending ends is not bisected.
 
@@ -544,6 +582,20 @@ def sign_change_roots(f, xs, vals=None) -> list:
     stand in for f(x) where f(x) is proven nonzero with its sign and both
     neighbours hold values of that same sign: no pair with a stand-in is
     then a sign change, so every zero and every bisected end is f's own.
+
+    The bisection reads only signs, so ``bounds``, when given, lets it
+    prove a midpoint's sign instead of calling f.  bounds(x) at a bracket's
+    lower node x gives None or (M2, E): from x up, every float f(t) lies
+    within E of a function g with |g''| <= M2.  Between the nearest
+    evaluated points p < t < q, g(t) then lies within M2 (t - p)(q - t)/2
+    + E of the float chord l(t) through (p, f(p)) and (q, f(q)), up to the
+    chord's rounding, at most 1e-15 (|f(p)| + |f(q)|).  Where |l(t)|
+    exceeds that bound with 3E in place of E, |g(t)| > E, so f(t) has the
+    sign of l(t) and is not 0, and l(t) stands in for it; the spare E
+    covers the rounding of the bound.  Otherwise t is evaluated and becomes
+    p or q.  Either way the bracket moves as f's own value would move it,
+    so the midpoints and the returned root do not depend on ``bounds``;
+    with none, or where bounds(x) is None, every midpoint is evaluated.
     """
     if vals is None:
         vals = [f(x) for x in xs]
@@ -553,13 +605,25 @@ def sign_change_roots(f, xs, vals=None) -> list:
             roots.append(lo)
         elif i + 1 < len(xs) and f_lo * vals[i + 1] < 0:
             hi = xs[i + 1]
+            proof = bounds(lo) if bounds else None
+            p, f_p, q, f_q = lo, f_lo, hi, vals[i + 1]  # the nearest evaluated points
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
-                f_mid = f(mid)
-                if f_lo * f_mid <= 0:
-                    hi = mid
+                if proof and abs(chord := f_p + (f_q - f_p) * ((mid - p) / (q - p))) > (
+                        0.5 * proof[0] * (mid - p) * (q - mid) + 3.0 * proof[1]
+                        + 1e-15 * (abs(f_p) + abs(f_q))):
+                    if f_lo * chord < 0:  # proven, and never 0
+                        hi = mid
+                    else:
+                        lo, f_lo = mid, chord
                 else:
-                    lo, f_lo = mid, f_mid
+                    f_mid = f(mid)
+                    if f_lo * f_mid <= 0:
+                        hi = q = mid
+                        f_q = f_mid
+                    else:
+                        lo = p = mid
+                        f_lo = f_p = f_mid
                 mid = 0.5 * (lo + hi)
             roots.append(mid)
     return roots

@@ -63,7 +63,7 @@ def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
     # dominating term ratio |x| max(1, y)^{m1}
     en, ed = (abs(xn) * yn ** m1, den ** (m1 + 1)) if yn > den else (abs(xn), den)
     if en * _RATIO_CUTOFF[1] >= _RATIO_CUTOFF[0] * ed:
-        return (_RATIO_REFUSAL, _ratio(Fraction(en, ed)), float(alpha), float(beta))
+        return (_RATIO_REFUSAL, _ratio(Fraction(en, ed)), _ratio(alpha), _ratio(beta))
     w = den ** (r + s)  # rho = rn / w and 1 - rho = e / w
     rn = xn ** r * yn ** s
     if abs(rn) >= w:
@@ -78,7 +78,7 @@ def point(spec: ThetaSpec, alpha, beta, tol: float, order: int):
         try:
             mags, weight = [abs(v) / pw for v, pw in zip(vs, pws)], 3 * (w / abs(e))
         except OverflowError:  # as in the generic fold: a |u| or |c| past float range
-            return (_RATIO_REFUSAL, math.inf, float(alpha), float(beta))
+            return (_RATIO_REFUSAL, math.inf, _ratio(alpha), _ratio(beta))
         bound = _roundoff_bound(spec, mags, weight)
         if bound > tol:
             return (_BOUND_REFUSAL, bound, tol)

@@ -98,9 +98,9 @@ def test_bisection_reads_real_values_at_every_bracket_end(monkeypatch):
     calls = []
     bisect = curves.sign_change_roots
 
-    def recording(f, xs, vals):
+    def recording(f, xs, vals, *args, **kwargs):
         calls.append((xs, list(vals)))
-        return bisect(f, xs, vals)
+        return bisect(f, xs, vals, *args, **kwargs)
 
     monkeypatch.setattr(curves, "sign_change_roots", recording)
     for name, spec, a0, lo, hi, samples in _cases()[::3]:

@@ -593,6 +593,15 @@ def test_rational_points_past_float_range_are_refused(alpha, beta):
         assert math.isnan(theta_row(spec, [a], b)[0])
 
 
+@pytest.mark.parametrize("f", [theta_eval, theta_grad, theta_hessian])
+def test_integer_kernel_refuses_a_fraction_past_float_range(f):
+    # the integer kernel's ratio refusal names alpha and beta as floats,
+    # inf past float range, as the generic fold's does; no OverflowError
+    with pytest.raises(ConvergenceError) as exc:
+        f(THEX, Fraction(10**400), Fraction(4, 5))
+    assert str(exc.value) == "series ratio inf >= 0.999 at alpha=inf, beta=0.8"
+
+
 @pytest.mark.parametrize("spec", [RLC, THEX])
 def test_nan_tol_is_refused(spec):
     # every bound test against NaN fails, so a NaN tol used to admit every
