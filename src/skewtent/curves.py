@@ -3,7 +3,10 @@
 Curve points are located by bisection in beta using the parity order of
 kneading sequences, which is monotone along verticals; the halvings run
 inside the orbit walker (``tentmap.kneading_bisect_at``), and each probe
-reads the orbit only up to the first symbol that decides it.
+reads the orbit only up to the first symbol that decides it.  For a finite
+word, a Newton prediction and two probes around it prove a bracket, and
+the walker walks only the midpoints inside it: by the same monotonicity
+every point is the plain bisection's, bit for bit.
 Counterexample scans bisect the sign changes of Theta on a grid along a
 vertical.  Theta need not be monotone there, but every magnitude term of
 its series falls as beta rises, so an evaluated grid node proves the sign
@@ -33,8 +36,8 @@ import sys
 from itertools import chain, cycle, islice
 from pathlib import Path
 
-from .symbolic import EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record
-from .tentmap import TentParams, kneading_bisect_at, kneading_order_at, kneading_prefix_at
+from .symbolic import C, EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record
+from .tentmap import TentParams, _word_gap, kneading_bisect_at, kneading_order_at, kneading_prefix_at
 from .theta import ThetaSpec, _curvature_bound, _nodes, _sign_reach, sign_change_roots, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
@@ -100,19 +103,26 @@ _LABEL_DEPTH = 48
 def kneading_bisect_beta(m: KneadingSeq, alpha: float) -> IsentropePoint:
     """Locate beta with K(alpha, beta) = m by bisection on the kneading order.
 
-    The bracket starts at (max(1-alpha, alpha, 1/2), 1) and halves until it
-    is no wider than 1e-12 or its ends are adjacent floats.  The returned
-    point carries the Theta residual of m's spec and a prefix verification
-    at depth 48.  A probe reads the orbit only up to the first symbol that
-    decides its order against m (a difference or a shared C), so 64
-    symbols per probe and 48 for the verification are upper bounds.
+    The bracket starts at (max(1-alpha, alpha, 1/2) + 1e-9, 1) and halves
+    until it is no wider than 1e-12 or its ends are adjacent floats.  The
+    returned point carries the Theta residual of m's spec and a prefix
+    verification at depth 48.  A probe reads the orbit only up to the first
+    symbol that decides its order against m (a difference or a shared C),
+    so 64 symbols per probe and 48 for the verification are upper bounds.
 
-    Probes: the bracket ends, one per halving and the verification.  The
-    halvings run in ``tentmap.kneading_bisect_at``, one loop that walks
-    every probe's orbit, so a halving costs no call.  (alpha, beta) is
-    checked once, as a ``TentParams`` at the bracket bottom, since every
-    probe lies on the same vertical between it and beta = 1; a bad alpha
-    gets the ``TentParams`` refusal.
+    Probes: the bracket ends, the verification and the halvings, which run
+    in ``tentmap.kneading_bisect_at``, one loop for every probe's orbit.
+    For m = wC with its C within 64 symbols, ``_newton`` predicts the root
+    b of g(beta) = x_n - alpha, x_0 = beta following w's branches, from a
+    trace's previous node or else the bracket halved to 1e-3.  Where probes
+    at b -+ 2e-13 read LESS and GREATER, the walker replays the halvings
+    but walks only the midpoints between them.  This relies on the order
+    being monotone in beta along a vertical, the bisection's own premise:
+    the other midpoints' orders are then known, so the point is the plain
+    bisection's, bit for bit.  Periodic words and failed proofs run the
+    plain bisection.  (alpha, beta) is checked once, as a ``TentParams`` at
+    the bracket bottom, since every probe lies on the same vertical between
+    it and beta = 1; a bad alpha gets the ``TentParams`` refusal.
     """
     return _bisector(m, _spec(m), 1e-12)(alpha)
 
@@ -125,8 +135,11 @@ def _bisector(m: KneadingSeq, spec, tol):
         # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
         return lambda alpha: IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m) == EQUAL)
     target, label, eps_c = m.text(_BISECT_DEPTH), m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0
+    word = m.pre if target[-1:] == C else None  # finite and spelled out to its C
+    prev = NAN  # the last node's beta: the next node's Newton start
 
     def bisect(alpha) -> IsentropePoint:
+        nonlocal prev
         lo = max(1 - alpha, alpha, 0.5) + 1e-9
         hi = 1.0
         if lo >= hi:
@@ -138,22 +151,43 @@ def _bisector(m: KneadingSeq, spec, tol):
             )
         if kneading_order_at(alpha, hi, target) < 0:
             raise BracketError(f"no valid bracket at alpha={alpha}: top of range is below target")
-        _, lo, hi = kneading_bisect_at(alpha, target, lo, hi, tol)
-        beta = 0.5 * (lo + hi)
+        below, above = lo, hi  # no known ends: every midpoint is walked
+        if word is not None:
+            if not lo < prev < hi:  # no start yet, or not in this bracket: halve to 1e-3
+                _, lo, hi = kneading_bisect_at(alpha, target, lo, hi, max(tol, 1e-3))
+            b = _newton(alpha, word, prev if lo < prev < hi else 0.5 * (lo + hi))
+            if (lo < b - 2e-13 and b + 2e-13 < hi
+                    and kneading_order_at(alpha, b - 2e-13, target) == LESS
+                    and kneading_order_at(alpha, b + 2e-13, target) == GREATER):
+                below, above = b - 2e-13, b + 2e-13
+        _, lo, hi = kneading_bisect_at(alpha, target, lo, hi, tol, below=below, above=above)
+        beta = prev = 0.5 * (lo + hi)
         ok = kneading_order_at(alpha, beta, label, eps_c) == EQUAL
         return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
     return bisect
 
 
+def _newton(alpha, word: str, b: float) -> float:
+    """At most four Newton steps on ``tentmap._word_gap`` from b; NaN at a zero slope."""
+    for _ in range(4):
+        g, dg = _word_gap(alpha, b, word)
+        step = g / dg if dg else NAN
+        b -= step
+        if not abs(step) >= 1e-14:  # converged, or NaN
+            break
+    return b
+
+
 def trace_isentrope(m: KneadingSeq, alphas, tol: float = 1e-12):
     """Bisect per grid node; failed nodes are reported with beta = NaN
     rather than aborting the trace.
 
-    Each node runs the probes of ``kneading_bisect_beta``.  m's spec, which
-    only sets the residuals, its target texts and its RL^inf test are
-    functions of m alone and are made once per trace.  A sequence without
-    a spec fails every node; RL^inf needs none and gives its beta = 1
+    Each node runs the probes of ``kneading_bisect_beta``, and its Newton
+    start is the previous node's beta where that lies in its bracket.  m's
+    spec, which only sets the residuals, its target texts and its RL^inf
+    test are functions of m alone and are made once per trace.  A sequence
+    without a spec fails every node; RL^inf needs none and gives its beta = 1
     boundary points.  A NaN ``tol`` is refused.
     """
     if math.isnan(tol):

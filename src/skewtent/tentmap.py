@@ -4,7 +4,8 @@ reads the critical orbit only up to the first symbol that decides its
 order against a target.  A bisection in beta on that order
 (``kneading_bisect_at``) walks every probe's orbit in one loop, so a
 probe costs no call, alpha check or type test; ``kneading_order_at`` is
-that loop's one-probe case.
+that loop's one-probe case.  Given known ends, it walks no midpoint beyond
+them; ``_word_gap`` gives a finite word's curve as a polynomial's root.
 
 The two orbit walkers, ``kneading_prefix_at`` and ``kneading_bisect_at``,
 take alpha in (0, 1): they make the slopes first, so alpha = 0 or 1
@@ -142,7 +143,8 @@ def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
     return kneading_bisect_at(alpha, target, beta, beta, 0, eps_c, beta)[0]
 
 
-def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None) -> tuple:
+def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None,
+                       below=-math.inf, above=math.inf) -> tuple:
     """Bisect the bracket (lo, hi) in beta on the order of the kneading
     sequence at (alpha, beta) against ``target``, as ``kneading_order_at``
     defines it: a probe below the target moves lo to its beta, one above
@@ -153,7 +155,9 @@ def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None) -> t
     there was none) and the bracket.
 
     Every probe walks in this one loop: alpha is checked and the constants
-    are picked once, by lo, and a probe makes only its slopes.
+    are picked once, by lo, and a probe makes only its slopes.  A midpoint
+    <= ``below`` reads LESS and one >= ``above`` GREATER without a walk:
+    the caller read those orders there, and the order is monotone in beta.
     """
     ca = 1 - alpha
     if not 0 < alpha < 1:
@@ -166,6 +170,10 @@ def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None) -> t
             beta = 0.5 * (lo + hi)
             if not (hi - lo > tol and lo < beta < hi):  # adjacent floats stop it too
                 return order, lo, hi
+            if beta <= below or beta >= above:  # its order is known: no walk
+                lo, hi, order = (beta, hi, LESS) if beta <= below else (lo, beta, GREATER)
+                beta = None
+                continue
         x = beta
         lam, mu = x / alpha, x / ca
         odd = False  # the symbols read so far hold an odd number of R's
@@ -213,6 +221,20 @@ def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None) -> t
         else:
             hi = beta
         beta = None
+
+
+def _word_gap(alpha, beta, word: str) -> tuple:
+    """g = x_n - alpha and dg/dbeta in one pass, where x_0 = beta and x_k
+    takes word's k-th branch, lam x for L and mu (1 - x) for R, whatever
+    its side: a polynomial in beta that vanishes where K(alpha, beta) = word C."""
+    ca = 1 - alpha
+    lam, mu, x, dx = beta / alpha, beta / ca, beta, 1.0
+    for s in word:
+        if s == L:
+            x, dx = lam * x, x / alpha + lam * dx
+        else:
+            x, dx = mu * (1.0 - x), (1.0 - x) / ca - mu * dx
+    return x - alpha, dx
 
 
 class LapOverflowError(RuntimeError):

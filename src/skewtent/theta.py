@@ -630,6 +630,7 @@ def sign_change_roots(f, xs, vals=None, bounds=None) -> list:
 
 
 _STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID = 0.505, 0.9985, 1024
+_STATIONARY_XS: tuple = ()  # their _nodes, made on first use: every scalar command imports theta
 
 
 def diagonal_stationary_beta(spec: ThetaSpec) -> float:
@@ -638,16 +639,19 @@ def diagonal_stationary_beta(spec: ThetaSpec) -> float:
     Theta vanishes identically on the diagonal, so d_beta = -d_alpha there
     and it suffices to find the root of d_alpha along the diagonal.  Among
     the sign-change roots on the grid ``_nodes(lo, hi, grid)``, with lo =
-    0.505, hi = 0.9985 and grid = 1024, the one consistent with the
-    first-return bracket (blo, bhi) for the spec's own m1 is returned.
+    0.505, hi = 0.9985 and grid = 1024 (built on the first call and kept),
+    the one consistent with the first-return bracket (blo, bhi) for the
+    spec's own m1 is returned.
     Only the grid nodes from the last one <= blo through the first one >=
     bhi are evaluated: every node and node pair that can give a root inside
     the bracket lies among them and is bisected as on the whole grid, so
     the pick is the whole grid's.  When no root is consistent, the whole
     grid is searched again to name every root in the refusal.
     """
-    m1 = spec.m1
-    xs = _nodes(_STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID)
+    global _STATIONARY_XS
+    if not _STATIONARY_XS:
+        _STATIONARY_XS = tuple(_nodes(_STATIONARY_LO, _STATIONARY_HI, _STATIONARY_GRID))
+    m1, xs = spec.m1, _STATIONARY_XS
     # first-return consistency: b/(1-b) must sit in (m1 - 1, m1 + 2)
     blo = (m1 - 1) / m1 if m1 > 1 else 0.0
     bhi = (m1 + 2) / (m1 + 3)

@@ -6,9 +6,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -697,6 +701,22 @@ def test_diagonal_stationary_betas():
     assert diagonal_stationary_beta(RLC) == pytest.approx(2 / 3, abs=1e-10)
     assert diagonal_stationary_beta(RLLRC) == pytest.approx(0.5 + math.sqrt(5) / 10, abs=1e-10)
     assert diagonal_stationary_beta(THEX) == pytest.approx(6 / 7, abs=1e-10)
+
+
+def test_stationary_grid_is_built_once_on_first_use():
+    # importing theta builds no grid; the first search builds the _nodes grid, bit for bit
+    code = ("import skewtent.theta as t\n"
+            "assert t._STATIONARY_XS == (), 'built at import'\n"
+            "t.diagonal_stationary_beta(t.thex_spec())\n"
+            "want = t._nodes(t._STATIONARY_LO, t._STATIONARY_HI, t._STATIONARY_GRID)\n"
+            "assert [x.hex() for x in t._STATIONARY_XS] == [x.hex() for x in want]\n"
+            "grid = t._STATIONARY_XS\n"
+            "t.diagonal_stationary_beta(t.thex_spec())\n"
+            "assert t._STATIONARY_XS is grid, 'built twice'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # ------------------------------------------------------------ grid nodes
