@@ -272,8 +272,9 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         args.func(args)
-    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(json.dumps({"error": text, "kind": type(exc).__name__}), file=sys.stderr)
         return 1
     return 0
 

@@ -9,14 +9,14 @@ the walker walks only the midpoints inside it: by the same monotonicity
 every point is the plain bisection's, bit for bit.
 Counterexample scans bisect the sign changes of Theta on a grid along a
 vertical.  Theta need not be monotone there, but every magnitude term of
-its series falls as beta rises, so an evaluated grid node proves the sign
-of the nodes just above it; only nodes with no proven sign, or next to a
-sign change, are evaluated.  The same terms bound the curvature of Theta
-above a bracket's lower node, so the bisection proves a midpoint's sign
-from the chord of the nearest evaluated points where it can, and
-evaluates Theta only where it cannot.  Rasters evaluate a scalar field on
-an inclusive rectangular grid in deterministic row-major order (top row =
-largest beta) so identical inputs give bit-identical output files.
+its series falls as beta rises, so the magnitude moments at a node bound
+the error and the curvature of Theta above it.  With them the grid walk
+proves the sign of a whole interval from its two evaluated ends and skips
+its inner nodes, and the bisection proves a midpoint's sign from the
+chord of the nearest evaluated points; Theta is evaluated only where no
+sign is proven.  Rasters evaluate a scalar field on an inclusive
+rectangular grid in deterministic row-major order (top row = largest
+beta) so identical inputs give bit-identical output files.
 Their rows are dealt round-robin into one share per usable CPU; forked
 children compute every share but the caller's, and the shares are merged
 back in row order.  Small rasters, one CPU or a live thread keep the rows
@@ -38,7 +38,7 @@ from pathlib import Path
 
 from .symbolic import C, EQUAL, GREATER, KneadingSeq, L, LESS, R, RL_INFINITY, Record
 from .tentmap import TentParams, _word_gap, kneading_bisect_at, kneading_order_at, kneading_prefix_at
-from .theta import ThetaSpec, _curvature_bound, _nodes, _sign_reach, sign_change_roots, theta_row
+from .theta import ThetaSpec, _curvature_bound, _nodes, sign_change_roots, theta_row
 from .theta import exceptional_spec, thex_spec  # noqa: F401  (presets)
 
 NAN = float("nan")
@@ -228,28 +228,18 @@ def counterexample_scan(
     least 1; other input is refused before anything is evaluated.
 
     The roots are those of ``sign_change_roots`` over the ``samples + 1``
-    nodes ``theta._nodes(beta_lo, beta_hi, samples)``, but the grid pass
-    reads only signs, and it evaluates a node only where no sign is proven
-    yet.  On the vertical, |x| and y fall as beta rises, so every magnitude
-    term of the series and every guard input falls too
-    (``theta._sign_reach``).  So an evaluated node with value v proves the
-    sign of v at each node within its reach, (|v| - 3E) / (B margin) above
-    it, where E bounds the error of every point above and B bounds
-    |dTheta/dbeta| there; those nodes are skipped.  B >= 1, so a node with
-    |v| at most the grid step reaches no further node, and its reach is not
-    computed.  A skipped node next to an opposite sign, a zero or a NaN is
-    evaluated after all, so every zero and every bracket end that the
-    bisection reads is a real value.
-
-    The bisection proves signs too (``sign_change_roots``' bounds).  A
-    term of the series is a constant times beta^-n, so at a bracket's
-    lower node the magnitude moments bound |d^2 Theta/dbeta^2| by M2 at
-    every point above it (``theta._curvature_bound``), where E bounds the
-    error.  A midpoint t between evaluated points p < t < q takes the sign
-    of the float chord l(t) where |l(t)| > M2 (t - p)(q - t)/2 + 3E + the
-    chord's rounding, and is evaluated otherwise.  The bisection reads only
-    signs and a proven sign is never 0, so the midpoints and the roots are
-    those of the bisection that evaluates every midpoint.
+    nodes ``theta._nodes(beta_lo, beta_hi, samples)``, with the bounds of
+    ``theta._curvature_bound``.  On the vertical |x| and y fall as beta
+    rises, and a term of the series is a constant times beta^-n, so the
+    magnitude moments at a node bound the error of every point above it
+    by E and |d^2 Theta/dbeta^2| there by M2.  The search walks the grid
+    by subdivision and skips the inner nodes of an interval whose two
+    evaluated ends prove their sign at every point between them, and its
+    bisection takes a midpoint's sign from the chord of the nearest
+    evaluated points where that proves it.  It reads only signs, a skipped
+    node is never 0, NaN or next to a sign change, and a proven midpoint is
+    never 0, so the roots are those of the search that evaluates every
+    node and midpoint.
     """
     if not beta_lo < beta_hi:
         raise ValueError(f"need beta_lo < beta_hi, got {beta_lo} and {beta_hi}")
@@ -259,23 +249,7 @@ def counterexample_scan(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     target = _label_text(spec)
-    ts = _nodes(beta_lo, beta_hi, samples)
-    step = (beta_hi - beta_lo) / samples
-    vals: list[float] = []
-    limit, skipped = -math.inf, False  # the last reach's end; whether vals[-1] stands in
-    for i, t in enumerate(ts):
-        if t < limit:  # its sign is proven: vals[-1], the evaluated node's, stands in
-            vals.append(vals[-1])
-            skipped = True
-            continue
-        v = _residual(spec, alpha0, t)
-        if skipped and not v * vals[-1] > 0:  # a stand-in next to a sign change, 0 or NaN
-            vals[-1] = _residual(spec, alpha0, ts[i - 1])
-        vals.append(v)
-        skipped = False
-        if abs(v) > step:  # B >= 1, so a smaller value reaches no further node
-            limit = t + _sign_reach(spec, alpha0, t, v)
-    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts, vals,
+    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), _nodes(beta_lo, beta_hi, samples),
                               lambda t: _curvature_bound(spec, alpha0, t))
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")

@@ -27,14 +27,12 @@ always runs the sum, and so does every ``error_bound`` the CLI prints.
 On a vertical 0 < alpha < 1, beta > 0, |x| = (1 - alpha)/beta and
 y = alpha/beta fall as beta rises, and with them every term of the
 magnitude series sum |x|^k y^{mbar_k}, its Euler moments and the guards'
-inputs.  ``_sign_reach`` turns that into the reach of an admitted point:
-how far above it the value keeps its sign, from a bound on the error of
-every point above and a bound on |dTheta/dbeta| from the magnitude
-moments.  The counterexample scan skips the grid nodes within that reach
-and hands its grid values, stand-ins included, to ``sign_change_roots``,
-with ``_curvature_bound``: the second magnitude moments bound the
-curvature of Theta above a point, so its bisection proves a midpoint's
-sign from a chord where it can and evaluates only where it cannot.
+inputs.  So ``_curvature_bound`` at an admitted point bounds the error of
+every point above it and, from the second magnitude moments, the
+curvature of Theta there.  The counterexample scan hands it to
+``sign_change_roots``, which proves signs from a chord with it: its grid
+walk skips the nodes of an interval whose ends prove their sign, and its
+bisection evaluates a midpoint only where the chord proves no sign.
 Every grid of ``theta`` and ``curves`` is ``_nodes``, which ends at its own
 ends; ``algebraic.isolate_real_roots`` keeps its own grid, shifted in from
 the interval's ends.
@@ -379,72 +377,37 @@ def _roundoff_bound(spec: ThetaSpec, mags, weight) -> float:
     return 8e-16 * (mag + 1.0)
 
 
-def _vertical_bound(spec: ThetaSpec, alpha: float, beta: float, order: int):
-    """The majorant E at the point (alpha, beta) of the vertical 0 < alpha
-    < 1, beta > 0, under the weight 3/(1 - |rho|), and, where E <= 1e-12,
-    the magnitude moments of ``order`` there: ``_fold1`` or ``_fold2`` fed
-    |u| by distinct gap, the tail fed |rho|; otherwise None in their place.
-    The point must be admitted, so that |u| and |rho| lie below 1.
-
-    Along the vertical |x| = (1 - alpha)/beta and y = alpha/beta fall as
-    beta rises, so every term |x|^k y^{mbar_k} of the magnitude series and
-    every term of its moments falls, and so do the guards' inputs: eta,
-    |rho|, the majorant's top and the weight, which is at least 3 |c|.  So
-    at E <= 1e-12 every point above is admitted with an error bound at most
-    E.  ``_fold2``'s first three moments are ``_fold1``'s, bit for bit."""
-    head_rev, period_rev, distinct, r, s = spec._plan[:5]
-    ax = (1.0 - alpha) / beta
-    y = alpha / beta
-    mags = [ax * y ** gap for gap in distinct]
-    top = max(mags)  # at most eta, and |rho| at most eta^r: the point is admitted
-    arho = ax ** r * y ** s
-    bound = _majorant(top, 3.0 / (1.0 - arho), len(head_rev))
-    if bound > 1e-12:
-        return bound, None
-    fold = _fold1 if order == 1 else _fold2
-    tail = _fixed_point_tail(fold(mags, spec._float_gaps, period_rev, _STEPS[order][1], 1.0),
-                             arho, 1.0 / (1.0 - arho), r, s)
-    return bound, fold(mags, spec._float_gaps, head_rev, tail, 1.0)
-
-
-def _sign_reach(spec: ThetaSpec, alpha: float, beta: float, value: float) -> float:
-    """How far above beta the value-only Theta keeps the sign of ``value``,
-    the value ``theta_row`` gave at (alpha, beta), an admitted point of the
-    vertical at 0 < alpha < 1 with beta > 0; 0 where the majorant does not
-    admit the point.
-
-    With E the majorant at beta (``_vertical_bound``), every point above is
-    admitted with an error bound at most E; and with K, M the first Euler
-    moments of the magnitude series at beta, |dTheta/dbeta| =
-    |1 + (S_k + S_m)/beta| <= B = 1 + (K + M)/beta there.  Within
-    (|value| - 3E) / (B margin) above beta, |Theta| > 2E, so the float
-    value has the sign of ``value`` and exceeds its own error bound.  The
-    margin covers the rounding of these folds of positive terms, as it
-    does the majorant's."""
-    bound, moments = _vertical_bound(spec, alpha, beta, 1)
-    lead = abs(value) - 3.0 * bound
-    if moments is None or lead <= 0.0:
-        return 0.0
-    _, k, m = moments
-    return lead / ((1.0 + (k + m) / beta) * _MAJORANT_MARGIN)
-
-
 def _curvature_bound(spec: ThetaSpec, alpha: float, beta: float):
     """``sign_change_roots``' bounds at the admitted point (alpha, beta) of
     the vertical at 0 < alpha < 1 with beta > 0: (M2, E), which hold at
     every point above, or None where the majorant E exceeds 1e-12.
+
+    E is the majorant under the weight 3/(1 - |rho|), from |u| by distinct
+    gap; the point is admitted, so |u| and |rho| lie below 1.  Along the
+    vertical |x| = (1 - alpha)/beta and y = alpha/beta fall as beta rises,
+    so every term |x|^k y^{mbar_k} of the magnitude series and of its
+    moments falls, and so do the guards' inputs: eta, |rho|, the
+    majorant's top and the weight, which is at least 3 |c|.  So at E <=
+    1e-12 every point above is admitted with an error bound at most E.
 
     A term t_k = x^k y^{mbar_k} is a constant times beta^-n with n = k +
     mbar_k, so its second derivative in beta is n (n + 1) t_k / beta^2,
     and |d^2 Theta/dbeta^2| <= sum |t_k| n (n + 1) / beta^2, which falls
     as beta rises.  With n (n + 1) = k^2 + 2 k mbar_k + mbar_k^2 + k +
     mbar_k, that sum is M2 = (K_kk + 2 K_km + K_mm + K_k + K_m) / beta^2
-    on the magnitude moments (``_vertical_bound``), scaled by the margin,
-    which covers their rounding."""
-    bound, moments = _vertical_bound(spec, alpha, beta, 2)
-    if moments is None:
+    on the magnitude moments, ``_fold2`` fed |u| and the tail fed |rho|,
+    scaled by the margin, which covers their rounding."""
+    head_rev, period_rev, distinct, r, s = spec._plan[:5]
+    ax = (1.0 - alpha) / beta
+    y = alpha / beta
+    mags = [ax * y ** gap for gap in distinct]
+    arho = ax ** r * y ** s
+    bound = _majorant(max(mags), 3.0 / (1.0 - arho), len(head_rev))
+    if bound > 1e-12:
         return None
-    _, k, m, kk, km, mm = moments
+    tail = _fixed_point_tail(_fold2(mags, spec._float_gaps, period_rev, _STEPS[2][1], 1.0),
+                             arho, 1.0 / (1.0 - arho), r, s)
+    _, k, m, kk, km, mm = _fold2(mags, spec._float_gaps, head_rev, tail, 1.0)
     return (kk + 2.0 * km + mm + k + m) / (beta * beta) * _MAJORANT_MARGIN, bound
 
 
@@ -571,47 +534,83 @@ def _nodes(lo, hi, n: int) -> list:
     return [lo + (hi - lo) * i / n for i in range(n)] + [hi]
 
 
-def sign_change_roots(f, xs, vals=None, bounds=None) -> list:
+def sign_change_roots(f, xs, bounds=None) -> list:
     """Roots of f located by sign changes between consecutive nodes xs,
     which must increase: a bracket with descending ends is not bisected.
 
     A node where f is exactly 0 is returned as is; pairs with a NaN end
     are skipped.  A sign change is bisected until its bracket ends are
     adjacent floats, and the rounded midpoint, one of the two, is returned.
-    ``vals`` holds the grid values when the caller has them.  A value may
-    stand in for f(x) where f(x) is proven nonzero with its sign and both
-    neighbours hold values of that same sign: no pair with a stand-in is
-    then a sign change, so every zero and every bisected end is f's own.
 
-    The bisection reads only signs, so ``bounds``, when given, lets it
-    prove a midpoint's sign instead of calling f.  bounds(x) at a bracket's
-    lower node x gives None or (M2, E): from x up, every float f(t) lies
-    within E of a function g with |g''| <= M2.  Between the nearest
-    evaluated points p < t < q, g(t) then lies within M2 (t - p)(q - t)/2
-    + E of the float chord l(t) through (p, f(p)) and (q, f(q)), up to the
-    chord's rounding, at most 1e-15 (|f(p)| + |f(q)|).  Where |l(t)|
-    exceeds that bound with 3E in place of E, |g(t)| > E, so f(t) has the
-    sign of l(t) and is not 0, and l(t) stands in for it; the spare E
-    covers the rounding of the bound.  Otherwise t is evaluated and becomes
-    p or q.  Either way the bracket moves as f's own value would move it,
-    so the midpoints and the returned root do not depend on ``bounds``;
-    with none, or where bounds(x) is None, every midpoint is evaluated.
+    The search reads only signs, so ``bounds``, when given, lets it prove
+    a sign instead of calling f.  bounds(x) at a node x with a real value
+    gives None or (M2, E): from x up, every float f(t) lies within E of a
+    function g with |g''| <= M2.  Between evaluated points p < t < q, g(t)
+    then lies within M2 (t - p)(q - t)/2 + E of the float chord l(t)
+    through (p, f(p)) and (q, f(q)), up to the chord's rounding, at most
+    1e-15 (|f(p)| + |f(q)|).  Where |l(t)| exceeds that bound with 3E in
+    place of E, |g(t)| > 2E, so f(t) has the sign of l(t) and is not 0;
+    the spare E covers the rounding of the bound.  The last bounds made
+    are kept, as they hold above their node, and fresh ones are made at
+    the node of p only where the kept ones lie above it or fail to prove.
+
+    Without bounds every node is evaluated.  With them the nodes are
+    walked by subdivision, the lower half first: f is called at both end
+    nodes, and an index interval whose end values share a sign is proven
+    where the smaller of |f(p)|, |f(q)| passes the bound at its worst,
+    (q - p)^2 / 4 for (t - p)(q - t).  Every inner node then has that
+    sign, so none is 0, NaN or next to a sign change, and none is called;
+    otherwise f is called at the middle node.  In the bisection a midpoint
+    whose sign is proven takes the chord value as its stand-in, and an
+    unproven one is evaluated and becomes p or q.  Either way the bracket
+    moves as f's own value would move it, so the zero nodes, the brackets,
+    the midpoints and the returned roots do not depend on ``bounds``.
     """
-    if vals is None:
+    if len(xs) < 2:
+        return [x for x in xs if f(x) == 0]
+    n = len(xs) - 1
+    proof, at = None, -1  # the last bounds made, and their node's index
+
+    def proves(i, lead, spread, f_p, f_q):
+        """Whether |l(t)| = ``lead`` passes the bound at (t - p)(q - t) =
+        ``spread`` for p at or above xs[i], by the kept bounds where they
+        were made at or below xs[i], otherwise by fresh ones there."""
+        nonlocal proof, at
+        while True:
+            if at <= i and proof and lead > (0.5 * proof[0] * spread + 3.0 * proof[1]
+                                             + 1e-15 * (abs(f_p) + abs(f_q))):
+                return True
+            if at == i:
+                return False
+            proof, at = bounds(xs[i]), i
+
+    if bounds:
+        vals = [f(xs[0])] + [None] * (n - 1) + [f(xs[n])]  # f at the nodes evaluated
+        leaves, stack = [], [(0, n)]  # the index pairs (i, i + 1) walked, ascending
+        while stack:
+            i, j = stack.pop()
+            f_p, f_q = vals[i], vals[j]
+            if j - i == 1:
+                leaves.append(i)
+            elif not (f_p * f_q > 0
+                      and proves(i, min(abs(f_p), abs(f_q)), 0.25 * (xs[j] - xs[i]) ** 2, f_p, f_q)):
+                k = (i + j) // 2
+                vals[k] = f(xs[k])
+                stack += (k, j), (i, k)
+    else:
         vals = [f(x) for x in xs]
+        leaves = range(n)
     roots = []
-    for i, (lo, f_lo) in enumerate(zip(xs, vals)):
+    for i in leaves:
+        lo, f_lo, hi, f_q = xs[i], vals[i], xs[i + 1], vals[i + 1]
         if f_lo == 0:
             roots.append(lo)
-        elif i + 1 < len(xs) and f_lo * vals[i + 1] < 0:
-            hi = xs[i + 1]
-            proof = bounds(lo) if bounds else None
-            p, f_p, q, f_q = lo, f_lo, hi, vals[i + 1]  # the nearest evaluated points
+        elif f_lo * f_q < 0:
+            p, f_p, q = lo, f_lo, hi  # the nearest evaluated points
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
-                if proof and abs(chord := f_p + (f_q - f_p) * ((mid - p) / (q - p))) > (
-                        0.5 * proof[0] * (mid - p) * (q - mid) + 3.0 * proof[1]
-                        + 1e-15 * (abs(f_p) + abs(f_q))):
+                if bounds and proves(i, abs(chord := f_p + (f_q - f_p) * ((mid - p) / (q - p))),
+                                     (mid - p) * (q - mid), f_p, f_q):
                     if f_lo * chord < 0:  # proven, and never 0
                         hi = mid
                     else:
@@ -626,6 +625,8 @@ def sign_change_roots(f, xs, vals=None, bounds=None) -> list:
                         f_lo = f_p = f_mid
                 mid = 0.5 * (lo + hi)
             roots.append(mid)
+    if vals[n] == 0:
+        roots.append(xs[n])
     return roots
 
 

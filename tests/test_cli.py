@@ -300,6 +300,21 @@ def test_lap_overflow_is_one_json_error_line():
                                 "kind": "LapOverflowError"}
 
 
+def test_memory_error_is_one_json_error_line(monkeypatch):
+    # a grid too large for the process's memory raises MemoryError, which
+    # carries no text of its own
+    from skewtent import curves
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(curves, "counterexample_scan", exhausted)
+    rc, out, err = run_cli(["counterexample", "--preset", "thex", "--samples", "300000000"])
+    assert (rc, out) == (1, "")
+    line, = err.splitlines()
+    assert json.loads(line) == {"error": "out of memory", "kind": "MemoryError"}
+
+
 def test_missing_spec_is_an_error():
     rc, _, err = run_cli(["theta", "--alpha", "0.6", "--beta", "0.8"])
     assert rc == 1

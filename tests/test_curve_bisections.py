@@ -1,13 +1,13 @@
 """The two curve bisections against their probe-by-probe forms.
 
-The scan bisection proves a midpoint's sign from the chord of the nearest
-evaluated points and the curvature bound of the vertical, and calls Theta
-only where that proof fails; it must give the roots of the bisection that
-evaluates every midpoint, bit for bit, and call Theta only at midpoints
-that bisection evaluates.  The trace bisection halves its bracket inside
-the orbit walker, ``tentmap.kneading_bisect_at``; it must give the bracket
-of the halving loop that made one ``kneading_order_at`` call per probe,
-frozen below.
+The scan's grid walk and bisection prove signs from the chord of the
+nearest evaluated points and the curvature bound of the vertical, and call
+Theta only where that proof fails; they must give the roots of the search
+that evaluates every node and midpoint, bit for bit, and call Theta only
+at nodes and midpoints that search evaluates.  The trace bisection
+halves its bracket inside the orbit walker, ``tentmap.kneading_bisect_at``;
+it must give the bracket of the halving loop that made one
+``kneading_order_at`` call per probe, frozen below.
 """
 
 import math
@@ -62,9 +62,8 @@ def test_curvature_bound_moves_no_root(spec, vertical):
         return f
 
     xs = _nodes(lo, hi, samples)
-    vals = [curves._residual(spec, alpha0, x) for x in xs]
-    plain = sign_change_roots(residual(False), xs, vals)
-    proven = sign_change_roots(residual(True), xs, vals, lambda t: _curvature_bound(spec, alpha0, t))
+    plain = sign_change_roots(residual(False), xs)
+    proven = sign_change_roots(residual(True), xs, lambda t: _curvature_bound(spec, alpha0, t))
     assert [r.hex() for r in proven] == [r.hex() for r in plain]
     assert set(calls[True]) <= set(calls[False])
 
@@ -108,6 +107,26 @@ def test_thex_scan_evaluates_at_most_80_residuals(monkeypatch):
                                        curves.THEX_BETAS[-1])
     assert [r.relation for r in roots] == ["less", "less"]
     assert len(calls) <= 80
+
+
+def test_thex_scan_evaluates_at_most_50_residuals_and_10_curvature_bounds(monkeypatch):
+    # the grid walk and the bisection share one certificate: 45 residuals
+    # and 7 bounds, where the sign-reach march took 59 residuals and 39 folds
+    calls = {"residual": 0, "bound": 0}
+    residual, bound = curves._residual, curves._curvature_bound
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(curves, "_residual", counting("residual", residual))
+    monkeypatch.setattr(curves, "_curvature_bound", counting("bound", bound))
+    roots = curves.counterexample_scan(THEX, curves.THEX_ALPHA0, curves.THEX_BETAS[0],
+                                       curves.THEX_BETAS[-1])
+    assert [r.relation for r in roots] == ["less", "less"]
+    assert calls["residual"] <= 50 and calls["bound"] <= 10
 
 
 def _halvings_before(alpha, lo, hi, target, tol):

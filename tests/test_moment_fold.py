@@ -1,29 +1,25 @@
-"""The moment folds and the scan's sign reach against per-step references.
+"""The moment folds against per-step references.
 
 ``theta._fold1`` and ``theta._fold2`` run the Horner steps ``_step1`` and
 ``_step2`` in one loop each, with the moments in locals, and a float row
 hands them its gaps as floats.  The reference below makes one call per gap
 to the step in ``_STEPS``, with the int gaps: the loops must give its
 moments bit for bit on floats and exactly on Fractions, and so must the
-rows of ``_generic_row`` at orders 1 and 2.  ``_sign_reach`` folds the
-magnitude moments with ``_fold1``; a scan shows a wrong reach only once it
-skips a root, so the reach itself is held to a frozen copy of its
-per-step version over seeded verticals.
+rows of ``_generic_row`` at orders 1 and 2.  ``theta._curvature_bound``
+folds the magnitude moments with ``_fold2``; its bound is held to the
+magnitude series summed term by term in ``test_curve_bisections``.
 """
 
 import math
-import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewtent import GapSeq, ThetaSpec, exceptional_spec
-from skewtent.theta import (_STEPS, _fixed_point_tail, _fold1, _fold2, _generic_row, _sign_reach,
-                            theta_row)
+from skewtent.theta import _STEPS, _fixed_point_tail, _fold1, _fold2, _generic_row
 
 from test_contract import large_gap_specs
-from test_theta import ALL_SPECS, THEX, float_points
+from test_theta import THEX, float_points
 
 
 def _fold_per_step(order, us, distinct, gaps_rev, acc, one):
@@ -97,46 +93,3 @@ def test_row_moments_equal_the_per_step_fold(spec, point, kind):
         (point,) = _generic_row(spec, (a,), b, 1e-12, order)
         if type(point[0]) is not str:  # admitted
             assert _bits(point[2]) == _bits(_row_moments_per_step(spec, a, b, order))
-
-
-def _sign_reach_before(spec, alpha, beta, value):
-    """``theta._sign_reach`` as it was, frozen: the majorant and its margin
-    inline, and the magnitude moments folded one ``_step1`` call per gap."""
-    head_rev, period_rev, distinct, r, s = spec._plan[:5]
-    ax = (1.0 - alpha) / beta
-    y = alpha / beta
-    mags = [ax * y ** gap for gap in distinct]
-    top = max(mags)
-    arho = ax ** r * y ** s
-    q = top / (1.0 - top)
-    bound = 8e-16 * ((q + 3.0 / (1.0 - arho) * q * top ** len(head_rev)) * 1.001 + 1.0)
-    lead = abs(value) - 3.0 * bound
-    if bound > 1e-12 or lead <= 0.0:
-        return 0.0
-    tail = _fixed_point_tail(_fold_per_step(1, mags, distinct, period_rev, (0, 0, 0), 1.0),
-                             arho, 1.0 / (1.0 - arho), r, s)
-    _, k, m = _fold_per_step(1, mags, distinct, head_rev, tail, 1.0)
-    return lead / ((1.0 + (k + m) / beta) * 1.001)
-
-
-def test_sign_reach_equals_its_frozen_per_step_version():
-    rng = random.Random(24)
-    specs = [*ALL_SPECS, exceptional_spec()]
-    for _ in range(6):
-        m1 = rng.choice([2, 5, 40, 2000])
-        head = [rng.randint(0, m1) for _ in range(rng.randint(0, 5))]
-        period = [rng.randint(0, m1) for _ in range(rng.randint(1, 3))]
-        specs.append(ThetaSpec(GapSeq((m1, *head), tuple(period))))
-    reached = 0
-    for spec in specs:
-        for alpha in [0.4875] + [rng.uniform(0.02, 0.98) for _ in range(5)]:
-            lo = 1 - alpha
-            for i in range(48):
-                beta = lo + (1 - lo) * (i + 0.5) / 48
-                (value,) = theta_row(spec, (alpha,), beta)
-                if math.isnan(value):
-                    continue
-                reach = _sign_reach(spec, alpha, beta, value)
-                assert repr(reach) == repr(_sign_reach_before(spec, alpha, beta, value))
-                reached += reach > 0
-    assert reached > 2000  # most of the 3168 points are admitted and prove a sign above them

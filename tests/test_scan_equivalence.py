@@ -1,17 +1,40 @@
 """The counterexample scan against the full-grid scan it replaced.
 
-The scan evaluates Theta at a grid node only where the sign there is not
-already proven by the reach of an evaluated node below it.  The reference
-here is the scan that evaluated every grid node, kept as it was; both must
-give the same roots, bit for bit, with the same labels, or the same
-refusal, on a seeded corpus of verticals.
+The scan walks its grid by subdivision and evaluates Theta at a node only
+where the curvature certificate of ``sign_change_roots`` does not prove
+the sign of an interval between evaluated nodes.  The reference here is
+the scan that evaluated every grid node, kept as it was; both must give
+the same roots, bit for bit, with the same labels, or the same refusal,
+on a seeded corpus of verticals.
 """
 
 import random
 
 from skewtent import ThetaSpec, counterexample_scan, curves, in_class_M, is_maximal, parse_seq, thex_spec
 from skewtent.curves import EQUAL, GREATER, LESS, _residual, _side
-from skewtent.theta import sign_change_roots
+from skewtent.theta import _nodes
+
+
+def _plain_roots(f, xs):
+    """The sign-change search as it was before the grid walk, frozen: every
+    node evaluated, every sign change bisected to adjacent floats."""
+    vals = [f(x) for x in xs]
+    roots = []
+    for i, (lo, f_lo) in enumerate(zip(xs, vals)):
+        if f_lo == 0:
+            roots.append(lo)
+        elif i + 1 < len(xs) and f_lo * vals[i + 1] < 0:
+            hi = xs[i + 1]
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                f_mid = f(mid)
+                if f_lo * f_mid <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+                mid = 0.5 * (lo + hi)
+            roots.append(mid)
+    return roots
 
 
 def _full_grid_scan(spec, alpha0, beta_lo, beta_hi, samples=400):
@@ -24,7 +47,7 @@ def _full_grid_scan(spec, alpha0, beta_lo, beta_hi, samples=400):
                          f"got alpha0={alpha0} and beta range [{beta_lo}, {beta_hi}]")
     target = spec.to_kneading()
     ts = [beta_lo + (beta_hi - beta_lo) * i / samples for i in range(samples)] + [beta_hi]
-    roots = sign_change_roots(lambda t: _residual(spec, alpha0, t), ts)
+    roots = _plain_roots(lambda t: _residual(spec, alpha0, t), ts)
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
     labels = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
@@ -75,6 +98,10 @@ def _cases(seed=47):
     for a0, lo, hi in [(0.52, 0.3, 1.0), (0.3, 0.3, 1.0), (0.7, 0.2, 1.0), (0.6, 0.05, 0.9)]:
         for samples in (50, 400, 800):
             cases += [("thex", thex, a0, lo, hi, samples), ("RLLRC", rllrc, a0, lo, hi, samples)]
+    # the diagonal node 0.625, where Theta is 0.0 exactly, between refused
+    # nodes and positive ones; and the thex vertical from beta = 0.2, whose
+    # first 158 nodes are refused
+    cases += [("thex", thex, 0.625, 0.5, 0.75, 8), ("thex", thex, curves.THEX_ALPHA0, 0.2, 0.995, 400)]
     return cases
 
 
@@ -90,23 +117,23 @@ def test_scan_matches_the_full_grid_scan():
     assert outcomes == {"refused", "roots"}
 
 
-
 def test_bisection_reads_real_values_at_every_bracket_end(monkeypatch):
-    # a skipped node holds the sign of the node that proved it; where it
-    # borders a sign change, a zero or a NaN it is evaluated after all, so
-    # every zero and bracket end the bisection reads is Theta's own value
-    calls = []
-    bisect = curves.sign_change_roots
+    # every grid node that is 0 or NaN, or borders a sign change, a zero or
+    # a NaN, is evaluated by the walk, so every zero and bracket end the
+    # bisection reads is Theta's own value
+    evaluated = set()
+    residual = curves._residual
 
-    def recording(f, xs, vals, *args, **kwargs):
-        calls.append((xs, list(vals)))
-        return bisect(f, xs, vals, *args, **kwargs)
+    def recording(spec, alpha, beta):
+        evaluated.add(beta)
+        return residual(spec, alpha, beta)
 
-    monkeypatch.setattr(curves, "sign_change_roots", recording)
-    for name, spec, a0, lo, hi, samples in _cases()[::3]:
+    monkeypatch.setattr(curves, "_residual", recording)
+    for name, spec, a0, lo, hi, samples in _cases()[::3] + _cases()[-2:]:
+        evaluated.clear()
         _outcome(_scan, spec, a0, lo, hi, samples)
-        xs, vals = calls.pop()
+        xs = _nodes(lo, hi, samples)
+        vals = [residual(spec, a0, x) for x in xs]
         for i, (x, v) in enumerate(zip(xs, vals)):
-            neighbours = vals[max(i - 1, 0):i + 2]
-            if not all(v * w > 0 for w in neighbours):
-                assert v.hex() == _residual(spec, a0, x).hex(), (name, a0, x)
+            if not all(v * w > 0 for w in vals[max(i - 1, 0):i + 2]):
+                assert x in evaluated, (name, a0, x)

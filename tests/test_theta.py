@@ -36,7 +36,7 @@ from skewtent import (
 )
 from skewtent import theta_exact
 from skewtent.cli import main as cli_main
-from skewtent.theta import (_BOUND_REFUSAL, _generic_row, _nodes, _sign_reach, sign_change_roots,
+from skewtent.theta import (_BOUND_REFUSAL, _curvature_bound, _generic_row, _nodes, sign_change_roots,
                             theta_row)
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
@@ -498,41 +498,44 @@ def test_value_only_row_matches_theta_eval():
         assert type(_value_only_matches(THEX, b, b, math.nextafter(bound, 0))[0]) is str
 
 
-# ------------------------------------------------------------ sign reach
+# ------------------------------------------------------------ proven grid signs
 
 
 @st.composite
-def vertical_points(draw):
-    """A float point of a vertical 0 < alpha < 1 where |x| < 1."""
+def scan_verticals(draw):
+    """alpha0 in (0, 1), a beta range inside (0, 1] that may start in the
+    refused region below beta = 1 - alpha0, and 1 to 800 samples."""
     a = draw(st.floats(0.001, 1.0, exclude_max=True))
-    return a, draw(st.floats(1 - a, 1.0, exclude_min=True))
+    lo = draw(st.floats(0.01, 0.99))
+    return a, lo, draw(st.floats(lo + 0.005, 1.0)), draw(st.integers(1, 800))
 
 
-@given(gap_specs(), vertical_points(), st.floats(0.0, 1.0, exclude_max=True))
-@settings(max_examples=300, deadline=None)
-def test_sign_reach_proves_the_sign_above(spec, point, t):
-    # within the reach of an admitted point, the exact Theta keeps the
-    # point's sign beyond twice the float error bound, so the float value
-    # there has that sign and exceeds its own error bound
-    a, b = point
-    (v,) = theta_row(spec, (a,), b)
-    assume(not math.isnan(v))
-    reach = _sign_reach(spec, a, b, v)
-    assume(reach > 0)
-    above = b + t * reach
-    tv = theta_eval(spec, a, above)
-    exact = theta_eval(spec, Fraction(a), Fraction(above)).value
-    assert exact * v > 0 and abs(exact) > 2 * tv.error_bound
-    assert tv.value * v > 0 and abs(tv.value) > tv.error_bound
+@given(gap_specs(), scan_verticals())
+@example(THEX, (0.4875, 0.535, 0.995, 400))
+@example(THEX, (0.625, 0.5, 0.75, 8))
+@settings(max_examples=100, deadline=None)
+def test_skipped_grid_nodes_have_the_stand_in_sign(spec, vertical):
+    # a node the walk does not evaluate lies inside a proven interval, whose
+    # evaluated ends share a sign: there the exact Theta has that sign
+    # beyond twice the float error bound, so the float value has it too
+    a, lo, hi, samples = vertical
+    evaluated = {}
 
+    def f(t):
+        evaluated[t] = theta_row(spec, (a,), t)[0]
+        return evaluated[t]
 
-def test_sign_reach_needs_a_value_beyond_three_error_bounds():
-    # a value within three error bounds of zero proves no sign above it
-    for b in (0.6, 0.8, 0.95):
-        tv = theta_eval(THEX, 0.4875, b)
-        assert _sign_reach(THEX, 0.4875, b, tv.value) > 0
-        assert _sign_reach(THEX, 0.4875, b, 3 * tv.error_bound) == 0
-        assert _sign_reach(THEX, 0.4875, b, 1e-300) == 0
+    xs = _nodes(lo, hi, samples)
+    sign_change_roots(f, xs, lambda t: _curvature_bound(spec, a, t))
+    stand_in = None  # the value of the last evaluated node
+    for i, x in enumerate(xs):
+        if x in evaluated:
+            stand_in = evaluated[x]
+            continue
+        above = next(evaluated[t] for t in xs[i + 1:] if t in evaluated)
+        assert stand_in * above > 0
+        exact = theta_eval(spec, Fraction(a), Fraction(x)).value
+        assert exact * stand_in > 0 and abs(exact) > 2 * theta_eval(spec, a, x).error_bound
 
 
 def test_a_large_gap_costs_no_table_of_its_size():
@@ -747,6 +750,21 @@ def test_sign_change_roots_skip_nan_pairs():
     f = lambda t: math.nan if 0.55 < t < 0.65 else t - 0.6
     assert sign_change_roots(f, [0.5, 0.6, 0.7]) == []
     assert sign_change_roots(lambda t: t - 0.62, [0.5, 0.6, 0.7]) == [pytest.approx(0.62, abs=1e-15)]
+
+
+@pytest.mark.parametrize("m2, e, value, evaluated", [
+    (0.0, 1e-13, 3.1e-13, 2), (0.0, 1e-13, 2.9e-13, 17),  # beyond 3E, or not
+    (1.0, 0.0, 0.021, 2), (1.0, 0.0, 0.019, 3),  # beyond M2 (q - p)^2 / 8 = 0.02, or not
+])
+def test_sign_change_roots_prove_an_interval_beyond_its_bound(m2, e, value, evaluated):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return value
+
+    assert sign_change_roots(f, _nodes(0.5, 0.9, 16), lambda t: (m2, e)) == []
+    assert len(calls) == evaluated
 
 
 def test_sign_change_roots_return_zero_nodes():
