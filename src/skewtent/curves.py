@@ -74,13 +74,6 @@ def _residual(spec: ThetaSpec, alpha: float, beta: float) -> float:
     return theta_row(spec, (alpha,), beta)[0]
 
 
-def _side(alpha: float, beta: float, m: KneadingSeq) -> int:
-    """Parity order of K(alpha, beta) against m, read up to the first
-    deciding symbol and at most the label depth."""
-    TentParams(alpha, beta)  # raises outside the parameter square
-    return kneading_order_at(alpha, beta, m.text(_LABEL_DEPTH))
-
-
 def _label_text(spec: ThetaSpec) -> str:
     """The first ``_LABEL_DEPTH`` symbols of the spec's reference sequence
     (``ThetaSpec.to_kneading``), made without spelling out a longer L-run."""
@@ -106,12 +99,13 @@ def kneading_bisect_beta(m: KneadingSeq, alpha: float) -> IsentropePoint:
     The bracket starts at (max(1-alpha, alpha, 1/2) + 1e-9, 1) and halves
     until it is no wider than 1e-12 or its ends are adjacent floats.  The
     returned point carries the Theta residual of m's spec and a prefix
-    verification at depth 48.  A probe reads the orbit only up to the first
-    symbol that decides its order against m (a difference or a shared C),
-    so 64 symbols per probe and 48 for the verification are upper bounds.
+    verification: the 48 symbols of ``tentmap.kneading_prefix_at``, whose
+    C band is 1e-6 for a finite m, must be m's first 48.  A probe reads the
+    orbit only up to the first symbol that decides its order against m (a
+    difference or a shared C), so 64 symbols per probe is an upper bound.
 
-    Probes: the bracket ends, the verification and the halvings, which run
-    in ``tentmap.kneading_bisect_at``, one loop for every probe's orbit.
+    Probes: the bracket ends and the halvings, which run in
+    ``tentmap.kneading_bisect_at``, one loop for every probe's orbit.
     For m = wC with its C within 64 symbols, ``_newton`` predicts the root
     b of g(beta) = x_n - alpha, x_0 = beta following w's branches, from a
     trace's previous node or else the bracket halved to 1e-3.  Where probes
@@ -131,10 +125,14 @@ def _bisector(m: KneadingSeq, spec, tol):
     """``kneading_bisect_beta`` at a given alpha for this m, its spec and
     the tolerance given by the caller, as a function of alpha: m's two
     target texts and its RL^inf test are made once."""
+    label, eps_c = m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0  # the verification's label and C band
     if m == RL_INFINITY:
-        # the top boundary curve: K(alpha, 1) = RL^inf for every alpha
-        return lambda alpha: IsentropePoint(alpha, 1.0, NAN, _side(alpha, 1.0, m) == EQUAL)
-    target, label, eps_c = m.text(_BISECT_DEPTH), m.text(_LABEL_DEPTH), 1e-6 if m.is_finite else 0
+        def boundary(alpha) -> IsentropePoint:  # the top boundary curve: K(alpha, 1) = RL^inf
+            TentParams(alpha, 1.0)  # raises outside the parameter square
+            ok = kneading_prefix_at(alpha, 1.0, len(label), eps_c) == label
+            return IsentropePoint(alpha, 1.0, NAN, ok)
+        return boundary
+    target = m.text(_BISECT_DEPTH)
     word = m.pre if target[-1:] == C else None  # finite and spelled out to its C
     prev = NAN  # the last node's beta: the next node's Newton start
 
@@ -162,7 +160,7 @@ def _bisector(m: KneadingSeq, spec, tol):
                 below, above = b - 2e-13, b + 2e-13
         _, lo, hi = kneading_bisect_at(alpha, target, lo, hi, tol, below=below, above=above)
         beta = prev = 0.5 * (lo + hi)
-        ok = kneading_order_at(alpha, beta, label, eps_c) == EQUAL
+        ok = kneading_prefix_at(alpha, beta, len(label), eps_c) == label
         return IsentropePoint(alpha, beta, _residual(spec, alpha, beta), ok)
 
     return bisect
@@ -254,7 +252,7 @@ def counterexample_scan(
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
 
-    # the checks above put each (alpha0, r) in the square that _side checks
+    # the checks above put each (alpha0, r) in the parameter square
     labels = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
     return [ScanRoot(r, labels[kneading_order_at(alpha0, r, target)]) for r in roots]
 

@@ -10,11 +10,14 @@ them; ``_word_gap`` gives a finite word's curve as a polynomial's root.
 The two orbit walkers, ``kneading_prefix_at`` and ``kneading_bisect_at``,
 take alpha in (0, 1): they make the slopes first, so alpha = 0 or 1
 raises ``ZeroDivisionError``, and refuse any other alpha with
-``ValueError``.  They classify each iterate x once, by the comparison
-chain x < alpha, x > alpha, x == alpha, then NaN.  The side fixes the C
-band test (alpha - x or x - alpha against ``eps_c``, made only for a
-nonzero ``eps_c``), the one [0, 1] guard compare that can fire there
-(x < 0 on the left, x > 1 on the right) and the branch that moves x.
+``ValueError``.  They classify each iterate x once, by one comparison
+chain: L below alpha, R above it or at NaN, and C at alpha (for
+``kneading_prefix_at``, where ``eps_c`` >= 0).  The side fixes the one
+[0, 1] guard compare that can fire there (x < 0 on the left, x > 1 on the
+right) and the branch that moves x.  The C band lives only in
+``kneading_prefix_at``: a nonzero ``eps_c`` also reads C where alpha - x
+or x - alpha is at most ``eps_c``, and a banded order against a word is
+the parity order of that prefix.
 
 All arithmetic is type generic: passing ``fractions.Fraction`` parameters
 gives exact orbits, floats give the usual double precision ones.  The
@@ -120,30 +123,31 @@ def kneading_prefix_at(alpha, beta, n: int, eps_c=0) -> str:
     return syms + C  # the orbit met the C band
 
 
-def kneading_order_at(alpha, beta, target: str, eps_c=0) -> int:
+def kneading_order_at(alpha, beta, target: str) -> int:
     """Parity order (LESS, EQUAL or GREATER) of the kneading sequence at the
-    turning point (alpha, beta), checked as in ``kneading_prefix_at``,
-    against the symbol string ``target``: ``kneading_bisect_at`` with beta
-    as its given probe and (beta, beta) as its bracket, which leaves no
-    midpoint to probe after it.
+    turning point (alpha, beta), checked as in ``kneading_prefix_at`` at
+    ``eps_c`` = 0, against the symbol string ``target``:
+    ``kneading_bisect_at`` with beta as its given probe and (beta, beta) as
+    its bracket, which leaves no midpoint to probe after it.
 
     Each symbol is made by ``kneading_prefix_at``'s comparison chain and
     compared with ``target`` at once, and the orbit is read only up to the
     symbol that decides the order: the first difference (L < C < R,
     reversed after an odd number of shared R's), a shared C or the end of
     ``target``.  The answer is the parity order of
-    ``kneading_prefix_at(alpha, beta, len(target), eps_c)`` against
-    ``target``, but the [0, 1] guard, which never fires at a ``TentParams``
-    point, covers only the symbols read: no later iterate is made.
+    ``kneading_prefix_at(alpha, beta, len(target))`` against ``target``,
+    but the [0, 1] guard, which never fires at a ``TentParams`` point,
+    covers only the symbols read: no later iterate is made.  There is no C
+    band here; ``curves`` verifies a trace node against the banded prefix.
 
     This is the rule of ``symbolic._parity_order`` with another input: that
     one reads two symbol strings, this one an orbit against a string.
     ``tests/test_kneading_order.py`` holds the two to the same answers.
     """
-    return kneading_bisect_at(alpha, target, beta, beta, 0, eps_c, beta)[0]
+    return kneading_bisect_at(alpha, target, beta, beta, 0, beta)[0]
 
 
-def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None,
+def kneading_bisect_at(alpha, target: str, lo, hi, tol, beta=None,
                        below=-math.inf, above=math.inf) -> tuple:
     """Bisect the bracket (lo, hi) in beta on the order of the kneading
     sequence at (alpha, beta) against ``target``, as ``kneading_order_at``
@@ -155,7 +159,9 @@ def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None,
     there was none) and the bracket.
 
     Every probe walks in this one loop: alpha is checked and the constants
-    are picked once, by lo, and a probe makes only its slopes.  A midpoint
+    are picked once, by lo, and a probe makes only its slopes.  An iterate
+    reads L below alpha, C at alpha and R above it or at NaN, with no C
+    band: the symbols that ``symbolic._parity_order`` ranks.  A midpoint
     <= ``below`` reads LESS and one >= ``above`` GREATER without a walk:
     the caller read those orders there, and the order is monotone in beta.
     """
@@ -179,39 +185,23 @@ def kneading_bisect_at(alpha, target: str, lo, hi, tol, eps_c=0, beta=None,
         odd = False  # the symbols read so far hold an odd number of R's
         for t in target:
             if x < alpha:
-                if not (eps_c and alpha - x <= eps_c):
-                    if x < zero:
-                        raise ValueError(f"x={x} outside [0,1]")
-                    if t != L:
-                        order = GREATER if odd else LESS
-                        break
-                    x = lam * x
-                    continue
-            elif x > alpha:
-                if not (eps_c and x - alpha <= eps_c):
-                    if x > one:
-                        raise ValueError(f"x={x} outside [0,1]")
-                    if t != R:
-                        order = LESS if odd else GREATER
-                        break
-                    odd = not odd
-                    x = mu * (one - x)
-                    continue
-            elif not (x == alpha and eps_c >= 0):  # NaN, or x == alpha with eps_c < 0 or NaN: R
+                if x < zero:
+                    raise ValueError(f"x={x} outside [0,1]")
+                if t != L:
+                    order = GREATER if odd else LESS
+                    break
+                x = lam * x
+            elif x == alpha:  # C: a shared C decides; C > L and C < R, reversed if odd
+                order = EQUAL if t == C else GREATER if (t == L) != odd else LESS
+                break
+            else:  # x > alpha, or NaN, whose every iterate is NaN: R
+                if x > one:
+                    raise ValueError(f"x={x} outside [0,1]")
                 if t != R:
                     order = LESS if odd else GREATER
                     break
                 odd = not odd
-                x = lam * x
-                continue
-            # the symbol is C
-            if t == C:
-                order = EQUAL
-            else:
-                order = GREATER if t == L else LESS
-                if odd:
-                    order = -order
-            break
+                x = mu * (one - x)
         else:
             order = EQUAL
         if order == EQUAL:

@@ -18,8 +18,9 @@ divides by 0 or leaves float range.
 
 Callers that read only the value, the residuals of ``curves`` (scan grid,
 scan bisection, trace nodes) and the pixels of its Theta rasters, call
-``theta_row``, a value-only row at tol 1e-12, NaN at a refused point:
-where a closed-form majorant of the roundoff sum already admits the point,
+``theta_row``, a value-only row at tol 1e-12: it holds each admitted
+value, NaN at a refused point, and no bound, term count or refusal text.
+Where a closed-form majorant of the roundoff sum already admits the point,
 the sum is skipped.  The sum decides wherever the majorant does not admit,
 so the values and the refused points are the full fold's.  ``theta_eval``
 always runs the sum, and so does every ``error_bound`` the CLI prints.
@@ -273,10 +274,7 @@ def theta_row(spec: ThetaSpec, alphas, beta) -> list:
     exactly, and an all-int row divides int by int into floats."""
     if not 0 < abs(beta) < math.inf:  # NaN too, whose every point is refused
         return [math.nan for _ in alphas]
-    values = []  # a loop, not a comprehension: cheaper on the one-point rows of curves
-    for p in _generic_row(spec, alphas, beta, 1e-12, 0, True):
-        values.append(math.nan if type(p[0]) is str else p[0])
-    return values
+    return _generic_row(spec, alphas, beta, 1e-12, 0, True)
 
 
 # The majorant's margin over rounding: the roundoff sum's own, a factor
@@ -304,6 +302,8 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
     k mbar_k and mbar_k^2.  A refused point is not raised: it gives its
     message as a format string and arguments.  A number past float range,
     a mixed point's Fraction among them, is refused as an infinite ratio.
+    A ``value_only`` row (order 0) holds just the value of each admitted
+    point and NaN at each refused one, which is all ``theta_row`` returns.
     The error bound covers roundoff only, as the tail is summed exactly; a
     bound above ``tol`` refuses the point.
 
@@ -328,11 +328,11 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
             # dominating term ratio |x| max(1, y)^{m1}
             eta = abs(x) * y ** m1 if y > one else abs(x)
             if eta >= 0.999:
-                row.append((_RATIO_REFUSAL, _ratio(eta), float(alpha), float(beta)))
+                row.append(math.nan if value_only else (_RATIO_REFUSAL, _ratio(eta), float(alpha), float(beta)))
                 continue
             rho = x ** r * y ** s
             if abs(rho) >= one:
-                row.append(_TAIL_REFUSAL)
+                row.append(math.nan if value_only else _TAIL_REFUSAL)
                 continue
             us = []  # us[i] = x y^g for the i-th distinct gap g
             for gap in distinct:
@@ -358,9 +358,12 @@ def _generic_row(spec: ThetaSpec, alphas, beta, tol: float, order: int,
                 bound = _majorant(top, weight, len(head_rev))
             if bound is None or bound > tol:  # no majorant, or it does not admit: the sum decides
                 bound = _roundoff_bound(spec, mags, weight)
-            row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (one - beta + acc, bound, terms))
+            if value_only:
+                row.append(math.nan if bound > tol else one - beta + acc)
+            else:
+                row.append((_BOUND_REFUSAL, bound, tol) if bound > tol else (one - beta + acc, bound, terms))
         except (OverflowError, ZeroDivisionError):  # past float range: an infinite ratio
-            row.append((_RATIO_REFUSAL, math.inf, _ratio(alpha), _ratio(beta)))
+            row.append(math.nan if value_only else (_RATIO_REFUSAL, math.inf, _ratio(alpha), _ratio(beta)))
     return row
 
 

@@ -10,9 +10,18 @@ on a seeded corpus of verticals.
 
 import random
 
-from skewtent import ThetaSpec, counterexample_scan, curves, in_class_M, is_maximal, parse_seq, thex_spec
-from skewtent.curves import EQUAL, GREATER, LESS, _residual, _side
+from skewtent import (TentParams, ThetaSpec, counterexample_scan, curves, in_class_M, is_maximal, parse_seq,
+                      thex_spec)
+from skewtent.curves import EQUAL, GREATER, LESS, _residual
+from skewtent.tentmap import kneading_order_at
 from skewtent.theta import _nodes
+
+
+def _label_order(alpha, beta, m):
+    """The scan's label as it was: the parity order of K(alpha, beta)
+    against m's first 48 symbols, at a point of the parameter square."""
+    TentParams(alpha, beta)
+    return kneading_order_at(alpha, beta, m.text(48))
 
 
 def _plain_roots(f, xs):
@@ -51,7 +60,7 @@ def _full_grid_scan(spec, alpha0, beta_lo, beta_hi, samples=400):
     if not roots:
         raise ValueError("no sign change of Theta found on the requested range")
     labels = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
-    return [(r, labels[_side(alpha0, r, target)]) for r in roots]
+    return [(r, labels[_label_order(alpha0, r, target)]) for r in roots]
 
 
 def _outcome(scan, *args):

@@ -34,9 +34,9 @@ from skewtent import (
     theta_partial_sum,
     thex_spec,
 )
-from skewtent import theta_exact
+from skewtent import theta, theta_exact
 from skewtent.cli import main as cli_main
-from skewtent.theta import (_BOUND_REFUSAL, _curvature_bound, _generic_row, _nodes, sign_change_roots,
+from skewtent.theta import (_curvature_bound, _generic_row, _nodes, sign_change_roots,
                             theta_row)
 
 RLC = ThetaSpec.from_seq(parse_seq("RLC"))
@@ -390,10 +390,10 @@ def test_integer_kernel_matches_generic_fold(spec, point, tol):
 
 def test_float_and_mixed_inputs_take_the_generic_fold():
     for a, b in [(0.62, 0.8), (Fraction(31, 50), 0.8), (0.62, Fraction(4, 5))]:
-        _assert_row_values(theta_row(THEX, [a, 0.5], b), _generic_row(THEX, [a, 0.5], b, 1e-12, 0, True))
+        _assert_row_values(theta_row(THEX, [a, 0.5], b), _generic_row(THEX, [a, 0.5], b, 1e-12, 0))
         assert type(theta_eval(THEX, a, b).value) is float
     _assert_row_values(theta_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5)),
-                       _generic_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0, True))
+                       _generic_row(THEX, [Fraction(31, 50), 0.5], Fraction(4, 5), 1e-12, 0))
 
 
 @pytest.mark.parametrize("beta", [0, 0.0, -0.0, Fraction(0)])
@@ -437,38 +437,42 @@ def _value_only_row(spec, a, b, tol):
     """The value-only generic row at (a, b); at tol 1e-12 it is theta_row."""
     row = _generic_row(spec, (a,), b, tol, 0, True)
     if tol == 1e-12:
-        _assert_row_values(theta_row(spec, (a,), b), row)
+        assert repr(theta_row(spec, (a,), b)) == repr(row)
     return row
 
 
 def _value_only_matches(spec, a, b, tol):
-    """The value-only row at (a, b) against theta_eval: the same value
-    bits and terms_used, an error_bound never below theta_eval's, or the
-    same refusal with the same text.  Neither path raises OverflowError: a
-    power past float range (y < -1) is refused as ratio inf.  Returns the
-    value-only point."""
+    """The value-only row at (a, b) against theta_eval: a float of the same
+    value bits, or NaN where theta_eval refuses.  Neither path raises
+    OverflowError: a power past float range (y < -1) is refused as ratio
+    inf.  Returns theta_eval's refusal text, None where it admits."""
     try:
         ref = theta_eval(spec, a, b, tol)
     except ConvergenceError as exc:
-        (got,) = _value_only_row(spec, a, b, tol)
-        assert type(got[0]) is str and got[0].format(*got[1:]) == str(exc)
-        return got
+        ref = exc
     except OverflowError:
         pytest.fail(f"theta_eval raised OverflowError at {(a, b)}")
     try:
         (got,) = _value_only_row(spec, a, b, tol)
     except OverflowError:
         pytest.fail(f"the value-only row raised OverflowError at {(a, b)}")
-    assert got[0].hex() == ref.value.hex() and got[2] == ref.terms_used
-    assert got[1] >= ref.error_bound
-    return got
+    assert type(got) is float
+    if isinstance(ref, ConvergenceError):
+        assert math.isnan(got)
+        return str(ref)
+    assert got.hex() == ref.value.hex()
+    return None
 
 
-def test_value_only_row_matches_theta_eval():
+def test_value_only_row_matches_theta_eval(monkeypatch):
     # at tol 1e-12, 1e-20 (where no majorant admits) or the roundoff sum's
     # own bound; and at every admitted point also just below that bound,
-    # where the sum refuses, so a majorant that undercuts it would not
+    # where the sum refuses, so a majorant that undercut it would not
     ran = set()
+    made = {}  # the bounds that one value-only row made: the majorant, the sum
+    majorant, roundoff = theta._majorant, theta._roundoff_bound
+    monkeypatch.setattr(theta, "_majorant", lambda *args: made.setdefault("majorant", majorant(*args)))
+    monkeypatch.setattr(theta, "_roundoff_bound", lambda *args: made.setdefault("sum", roundoff(*args)))
 
     @given(gap_specs(), float_points(), st.sampled_from([1e-12, 1e-20, None]))
     # 1/beta overflows to -inf and x is 0, so x y^g is NaN: refused, not admitted
@@ -479,14 +483,20 @@ def test_value_only_row_matches_theta_eval():
         if tol is None:
             with contextlib.suppress(ConvergenceError):
                 tol = theta_eval(spec, a, b, math.inf).error_bound
-        got = _value_only_matches(spec, a, b, 1e-12 if tol is None else tol)
-        if type(got[0]) is str:
-            if got[0] == _BOUND_REFUSAL:
-                ran.add("full")  # only the roundoff sum refuses on the bound
+        tol = 1e-12 if tol is None else tol
+        refusal = _value_only_matches(spec, a, b, tol)
+        made.clear()
+        _generic_row(spec, (a,), b, tol, 0, True)
+        if refusal is not None:
+            if "sum" in made:
+                assert refusal.startswith("roundoff bound")  # only the roundoff sum refuses on the bound
+                ran.add("full")
             return
+        admitted_by = made.get("sum", made.get("majorant"))
+        ran.add("full" if "sum" in made else "skipped")
         bound = theta_eval(spec, a, b, math.inf).error_bound
-        ran.add("skipped" if got[1] > bound else "full")
-        assert type(_value_only_matches(spec, a, b, math.nextafter(bound, 0))[0]) is str
+        assert admitted_by >= bound  # the bound that admitted, never below theta_eval's
+        assert _value_only_matches(spec, a, b, math.nextafter(bound, 0)) is not None
 
     check()
     assert ran == {"skipped", "full"}
@@ -495,7 +505,7 @@ def test_value_only_row_matches_theta_eval():
     for i in range(1, 400):
         b = 0.5 + i / 800
         bound = theta_eval(THEX, b, b, math.inf).error_bound
-        assert type(_value_only_matches(THEX, b, b, math.nextafter(bound, 0))[0]) is str
+        assert _value_only_matches(THEX, b, b, math.nextafter(bound, 0)) is not None
 
 
 # ------------------------------------------------------------ proven grid signs

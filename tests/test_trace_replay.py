@@ -6,8 +6,10 @@ and lets ``tentmap.kneading_bisect_at`` take the order of every midpoint
 outside that bracket without walking its orbit.  The bisection reads only
 orders, and the order is monotone in beta along a vertical, so every node
 must be the plain bisection's, frozen below, bit for bit: its beta, its
-residual and its verification verdict.  A wrong prediction must only cost
-time, and periodic words must never be predicted.
+residual and its verification verdict, which the plain bisection takes
+from the earlier banded kernel, frozen in ``test_kneading_order``.  A
+wrong prediction must only cost time, and periodic words must never be
+predicted.
 """
 
 import math
@@ -20,7 +22,7 @@ from skewtent import TentParams, curves, in_class_M, is_maximal, parse_seq, trac
 from skewtent.symbolic import EQUAL, GREATER, LESS, RL_INFINITY
 from skewtent.tentmap import kneading_bisect_at, kneading_order_at
 
-from test_kneading_order import _targets
+from test_kneading_order import _banded_order_before, _targets
 
 NAN = float("nan")
 FIXED_WORDS = (["RLC", "RLLRC"] + ["R" + "L" * k + "RC" for k in range(2, 12)]
@@ -32,7 +34,7 @@ def _plain_node(m, spec, alpha, tol):
     it, every midpoint walked, frozen; None where the node failed."""
     if m == RL_INFINITY:
         TentParams(alpha, 1.0)
-        return alpha, 1.0, NAN, kneading_order_at(alpha, 1.0, m.text(48)) == EQUAL
+        return alpha, 1.0, NAN, _banded_order_before(alpha, 1.0, m.text(48)) == EQUAL
     target = m.text(64)
     lo, hi = max(1 - alpha, alpha, 0.5) + 1e-9, 1.0
     if lo >= hi:
@@ -42,7 +44,7 @@ def _plain_node(m, spec, alpha, tol):
         return None
     _, lo, hi = kneading_bisect_at(alpha, target, lo, hi, tol)
     beta = 0.5 * (lo + hi)
-    ok = kneading_order_at(alpha, beta, m.text(48), 1e-6 if m.is_finite else 0) == EQUAL
+    ok = _banded_order_before(alpha, beta, m.text(48), 1e-6 if m.is_finite else 0) == EQUAL
     return alpha, beta, curves._residual(spec, alpha, beta), ok
 
 
